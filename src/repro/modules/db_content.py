@@ -22,6 +22,16 @@ def _question_value_spans(question: str) -> list[str]:
     return [span for span in spans if span]
 
 
+def _length_bound(len_a: int, len_b: int) -> float:
+    """Upper bound on ``normalized_similarity`` from the lowercased lengths.
+
+    The edit distance is at least the length difference, so a pair whose
+    bound is below the fuzzy threshold cannot match and is skipped without
+    computing the distance.
+    """
+    return 1.0 - abs(len_a - len_b) / max(len_a, len_b)
+
+
 def match_db_content(
     strategy: str,
     database: Database,
@@ -49,9 +59,14 @@ def match_db_content(
                 if value is None:
                     continue
                 text = str(value)
-                if text.lower() == span_lower or span_lower in text.lower():
+                text_lower = text.lower()
+                if span_lower in text_lower:
                     hits.append(text)
-                elif fuzzy and normalized_similarity(text, span) >= fuzzy_threshold:
+                elif (
+                    fuzzy
+                    and _length_bound(len(text_lower), len(span_lower)) >= fuzzy_threshold
+                    and normalized_similarity(text, span) >= fuzzy_threshold
+                ):
                     hits.append(text)
                 if len(hits) >= max_values_per_column:
                     break

@@ -129,31 +129,56 @@ def singularize(word: str) -> str:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Compute the Levenshtein edit distance between two strings."""
+    """Compute the Levenshtein edit distance between two strings.
+
+    Myers' bit-parallel algorithm in Hyyrö's formulation: one column of the
+    edit-distance matrix is held as vertical +1/-1 delta bit vectors over
+    the shorter string (Python ints, so any length fits), and each
+    character of the longer string advances it with a constant number of
+    word operations.  Bits only ever flow towards higher positions (carry
+    and left shift), so masking the positive vector to ``len(b)`` bits
+    keeps every lower bit exact.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            cost = 0 if char_a == char_b else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}
+    for i, char in enumerate(b):
+        peq[char] = peq.get(char, 0) | (1 << i)
+    full = (1 << len(b)) - 1
+    last = 1 << (len(b) - 1)
+    pv, mv, distance = full, 0, len(b)
+    for char in a:
+        eq = peq.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            distance += 1
+        elif mh & last:
+            distance -= 1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+    return distance
 
 
 def normalized_similarity(a: str, b: str) -> float:
-    """Return 1 - normalized edit distance, in [0, 1]."""
+    """Return 1 - normalized edit distance, in [0, 1].
+
+    Case-insensitive: the distance and the lengths it is divided by are
+    both taken on the lowercased strings, whose lengths may differ from
+    the originals' ("İ" lowercases to two code points).
+    """
+    a, b = a.lower(), b.lower()
     if not a and not b:
         return 1.0
-    distance = levenshtein(a.lower(), b.lower())
-    return 1.0 - distance / max(len(a), len(b))
+    return 1.0 - levenshtein(a, b) / max(len(a), len(b))
 
 
 def jaccard(a: set[str] | list[str], b: set[str] | list[str]) -> float:

@@ -1,9 +1,14 @@
 """Tests for design-space modules: linking, content, few-shot, prompts, post."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.dbengine.database import Database
 from repro.errors import DesignSpaceError
 from repro.llm.model import GenerationCandidate
+from repro.modules import db_content
 from repro.modules.base import PipelineConfig
 from repro.modules.db_content import match_db_content
 from repro.modules.fewshot import MANUAL_QUALITY, question_similarity, select_examples
@@ -15,6 +20,8 @@ from repro.modules.post_processing import (
 )
 from repro.modules.prompts import build_prompt
 from repro.modules.schema_linking import link_schema
+from repro.schema.model import Column, ColumnType, DatabaseSchema, Table
+from repro.utils.text import normalized_similarity
 
 
 class TestPipelineConfig:
@@ -117,6 +124,79 @@ class TestDbContent:
         for columns in matches.values():
             for values in columns.values():
                 assert len(values) <= 2
+
+
+def _near_values(span: str, rng: random.Random, count: int) -> list[str]:
+    """Random edits of ``span``: similarities straddle the fuzzy threshold."""
+    alphabet = "aeiorstİ🙂 "
+    values = []
+    for _ in range(count):
+        chars = list(span)
+        for _ in range(rng.randrange(5)):
+            position = rng.randrange(len(chars))
+            operation = rng.randrange(3)
+            if operation == 0:
+                chars.insert(position, rng.choice(alphabet))
+            elif operation == 1 and len(chars) > 1:
+                del chars[position]
+            else:
+                chars[position] = rng.choice(alphabet)
+        values.append("".join(chars))
+    return values
+
+
+class TestDbContentPrefilter:
+    SPANS = ("Brightwater", "Oak Island", "Reno")
+    QUESTION = "Which places are 'Brightwater', 'Oak Island' or 'Reno'?"
+
+    @pytest.fixture()
+    def near_db(self):
+        rng = random.Random(12)
+        values = [value for span in self.SPANS for value in _near_values(span, rng, 150)]
+        schema = DatabaseSchema(db_id="near", tables=[Table(name="places", columns=[
+            Column("place_id", ColumnType.INTEGER, is_primary_key=True),
+            Column("city", ColumnType.TEXT),
+            Column("label", ColumnType.TEXT),
+        ])])
+        database = Database(schema)
+        database.insert_rows(
+            "places", [(i, value, values[-1 - i]) for i, value in enumerate(values)]
+        )
+        yield database
+        database.close()
+
+    @pytest.mark.parametrize("strategy", ["bridge", "codes"])
+    def test_prefilter_matches_reference(self, near_db, strategy, monkeypatch):
+        compared: list[tuple[str, str]] = []
+
+        def counting(a: str, b: str) -> float:
+            compared.append((a, b))
+            return normalized_similarity(a, b)
+
+        monkeypatch.setattr(db_content, "normalized_similarity", counting)
+        fast = match_db_content(strategy, near_db, self.QUESTION, max_values_per_column=10_000)
+        filtered = len(compared)
+        # The reference: no pair is ever skipped by its lengths.
+        monkeypatch.setattr(db_content, "_length_bound", lambda len_a, len_b: 1.0)
+        reference = match_db_content(
+            strategy, near_db, self.QUESTION, max_values_per_column=10_000
+        )
+        assert fast == reference
+        if strategy == "bridge":
+            assert 0 < filtered < len(compared) - filtered
+            fuzzy_only = [
+                value
+                for columns in reference.values()
+                for values in columns.values()
+                for value in values
+                if not any(span.lower() in value.lower() for span in self.SPANS)
+            ]
+            assert fuzzy_only
+
+    @given(st.text(max_size=30), st.text(min_size=1, max_size=30))
+    def test_length_bound_is_an_upper_bound(self, a, b):
+        bound = db_content._length_bound(len(a.lower()), len(b.lower()))
+        assert normalized_similarity(a, b) <= bound
 
 
 class TestFewShot:

@@ -1,6 +1,15 @@
 """Tests for schema linking."""
 
+import copy
+import gc
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+from repro.datagen.benchmark import build_benchmark
+from repro.llm.model import _pruned_schema
+from repro.nlu import linker as linker_module
 from repro.nlu.linker import SchemaLinker, phrase_similarity
+from tests.conftest import small_benchmark_config
 
 
 class TestPhraseSimilarity:
@@ -84,3 +93,85 @@ class TestRelevantTables:
             "What is the average elevation?"
         )
         assert "airports" in tables
+
+
+PHRASES = (
+    "airport name", "flight price", "Cities", "studentID", "number of movies",
+    "average elevation of the airports", "", "title_year",
+)
+
+
+def _ranking(schema, phrase):
+    return [
+        (linked.table.name, linked.column.name, linked.score)
+        for linked in SchemaLinker(schema).rank_columns(phrase)
+    ]
+
+
+def _link_every_schema(dataset):
+    for database in dataset.databases.values():
+        linker = SchemaLinker(database.schema)
+        linker.rank_columns("name")
+        linker.relevant_tables("How many flights are there?")
+
+
+class TestTokenIndex:
+    def test_scores_equal_phrase_similarity(self, small_dataset):
+        for database in small_dataset.databases.values():
+            schema = database.schema
+            linker = SchemaLinker(schema)
+            phrases = PHRASES + tuple(table.display_name for table in schema.tables)
+            for phrase in phrases:
+                for linked in linker.rank_tables(phrase):
+                    assert linked.score == phrase_similarity(phrase, linked.table.display_name)
+                ranked = linker.rank_columns(phrase)
+                assert len(ranked) == sum(len(table.columns) for table in schema.tables)
+                for linked in ranked:
+                    direct = phrase_similarity(phrase, linked.column.display_name)
+                    contextual = phrase_similarity(
+                        phrase, f"{linked.table.display_name} {linked.column.display_name}"
+                    )
+                    assert linked.score == max(direct, 0.92 * contextual)
+
+    def test_pruned_schema_adds_no_entries(self, toy_schema):
+        linker = SchemaLinker(toy_schema)
+        linker.rank_columns("price")
+        linker.relevant_tables("Show the price of flights")
+        before = set(linker_module._TOKEN_INDEX)
+        for tables in (("flights",), ("airports",), ("airports", "flights")):
+            pruned_linker = SchemaLinker(_pruned_schema(toy_schema, tables))
+            pruned_linker.rank_tables("flight")
+            pruned_linker.rank_columns("price")
+            pruned_linker.relevant_tables("Show the price of flights")
+        assert set(linker_module._TOKEN_INDEX) <= before
+
+    def test_entries_dropped_with_dataset(self):
+        gc.collect()
+        baseline = set(linker_module._TOKEN_INDEX)
+        for seed in (1, 2, 3):
+            dataset = build_benchmark(small_benchmark_config(seed))
+            _link_every_schema(dataset)
+            assert len(linker_module._TOKEN_INDEX) > len(baseline)
+            dataset.close()
+            del dataset
+            gc.collect()
+            assert set(linker_module._TOKEN_INDEX) <= baseline
+
+    def test_concurrent_rank_columns_identical(self, small_dataset):
+        schemas = [database.schema for database in small_dataset.databases.values()]
+        expected = [[_ranking(schema, phrase) for phrase in PHRASES] for schema in schemas]
+        # Fresh Table objects, so the threads race to build their entries.
+        fresh = copy.deepcopy(schemas)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(
+                    lambda _: [[_ranking(schema, phrase) for phrase in PHRASES]
+                               for schema in fresh],
+                    range(16),
+                    timeout=120,
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result == expected for result in results)

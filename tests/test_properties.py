@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sqlkit.exact_match import exact_match
 from repro.sqlkit.features import extract_features
@@ -76,6 +76,19 @@ class TestRngProperties:
         assert derive_rng(seed, key).random() == derive_rng(seed, key).random()
 
 
+def _reference_levenshtein(a: str, b: str) -> int:
+    """Textbook O(len(a) * len(b)) dynamic program: the oracle for the kernel."""
+    previous = list(range(len(b) + 1))
+    for i, char_a in enumerate(a, start=1):
+        current = [i]
+        for j, char_b in enumerate(b, start=1):
+            current.append(min(
+                previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (char_a != char_b)
+            ))
+        previous = current
+    return previous[-1]
+
+
 class TestTextProperties:
     @given(st.text(max_size=40), st.text(max_size=40))
     def test_levenshtein_symmetric(self, a, b):
@@ -90,8 +103,26 @@ class TestTextProperties:
         assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
 
     @given(st.text(max_size=40), st.text(max_size=40))
+    @example("İ", "x")  # lowercases to two code points
     def test_normalized_similarity_bounded(self, a, b):
         assert 0.0 <= normalized_similarity(a, b) <= 1.0
+
+    @given(st.text(max_size=150), st.text(max_size=150))
+    @example("", "")
+    @example("", "x" * 70)
+    @example("a" * 65, "a" * 64 + "b")
+    def test_levenshtein_matches_reference_dp(self, a, b):
+        assert levenshtein(a, b) == _reference_levenshtein(a, b)
+
+    # A small alphabet makes characters recur, so the bit vectors carry
+    # real match structure; min_size 65 spans more than one 64-bit word.
+    @given(
+        st.text(alphabet="abİi\u0307🙂 ", min_size=65, max_size=150),
+        st.text(alphabet="abİi\u0307🙂 ", max_size=150),
+    )
+    def test_levenshtein_matches_reference_dp_long(self, a, b):
+        assert levenshtein(a, b) == _reference_levenshtein(a, b)
+        assert levenshtein(b, a) == _reference_levenshtein(a, b)
 
     @given(st.lists(st.text(max_size=8)), st.lists(st.text(max_size=8)))
     def test_jaccard_bounded_and_symmetric(self, a, b):

@@ -50,18 +50,12 @@ def test_bench_eval_quick_smoke(tmp_path):
     # noisy pass on a loaded host cannot trip it.
     fewshot_share = result["tracing"]["stage_share_pct"].get("fewshot", 0.0)
     assert fewshot_share < bench_eval.FEWSHOT_SHARE_BOUND_PCT
-    # The memo and inference-engine layers must demonstrably engage —
+    # The memo and prompt-prefix layers must demonstrably engage —
     # gated on deterministic hit counters, not wall-clock ratios, which
-    # flake under CI load.  (The old decode-stage memo gate is gone:
-    # batched decoding does one intent lookup per example instead of one
-    # per draw, so the prefix/batch counters are the load-bearing ones.)
+    # flake under CI load.  (There is no decode-stage memo gate: each
+    # decode does one intent lookup for all its draws.)
     assert result["tracing"]["stage_memo_hits"].get("fewshot", 0) > 0
     assert result["tracing"]["prefix_hits"] > 0
-    assert result["tracing"]["llm_batched_calls"] > 0
-    assert (
-        result["tracing"]["llm_batch_draws"]
-        >= result["tracing"]["llm_batched_calls"]
-    )
     # The warm-cache and hot-path speedups must stay in the trajectory
     # file for trend tracking; their magnitudes are reported, not gated.
     assert result["speedup"]["parallel_warm"] > 0

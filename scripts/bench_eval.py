@@ -86,8 +86,7 @@ def _median_stage_rows(rows_per_pass: list[dict]) -> dict:
         for stage in rows:
             if stage not in stages:
                 stages.append(stage)
-    counters = ("memo_hits", "prefix_hits", "prefix_misses",
-                "llm_batched_calls", "llm_batch_draws")
+    counters = ("memo_hits", "prefix_hits", "prefix_misses")
     merged: dict[str, dict] = {}
     for stage in stages:
         merged[stage] = {
@@ -278,12 +277,6 @@ def run_bench(args: argparse.Namespace) -> dict:
             "prefix_misses": sum(
                 row["prefix_misses"] for row in stage_rows.values()
             ),
-            "llm_batched_calls": sum(
-                row["llm_batched_calls"] for row in stage_rows.values()
-            ),
-            "llm_batch_draws": sum(
-                row["llm_batch_draws"] for row in stage_rows.values()
-            ),
             "stage_seconds_uncached": {
                 stage: round(row["seconds"], 4)
                 for stage, row in uncached_rows.items()
@@ -378,16 +371,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"FAIL: fewshot stage share {fewshot_share:.1f}% >="
                   f" {FEWSHOT_SHARE_BOUND_PCT:.0f}% bound", file=sys.stderr)
             return 1
-        # The inference-engine layers must demonstrably engage: the
-        # prompt-prefix cache registers segment hits and every decode
-        # routes its draws through one batched model call (deterministic
-        # counters, not wall-clock ratios).
+        # The prompt-prefix cache must demonstrably engage (a
+        # deterministic counter, not a wall-clock ratio).
         if result["tracing"]["prefix_hits"] <= 0:
             print("FAIL: prompt prefix cache registered no hits", file=sys.stderr)
-            return 1
-        if result["tracing"]["llm_batched_calls"] <= 0:
-            print("FAIL: batched decoding registered no batched calls",
-                  file=sys.stderr)
             return 1
         print("quick smoke OK: warm-cache run did zero predictions and was"
               f" {result['speedup']['parallel_warm']:.1f}x sequential;"

@@ -109,8 +109,6 @@ CREATE TABLE IF NOT EXISTS trace_spans (
     repair_pattern_hits INTEGER NOT NULL DEFAULT 0,
     prefix_hits INTEGER NOT NULL DEFAULT 0,
     prefix_misses INTEGER NOT NULL DEFAULT 0,
-    llm_batched_calls INTEGER NOT NULL DEFAULT 0,
-    llm_batch_draws INTEGER NOT NULL DEFAULT 0,
     PRIMARY KEY (run_id, position)
 );
 CREATE TABLE IF NOT EXISTS run_metrics (
@@ -194,7 +192,6 @@ class ExperimentLogStore:
         for column in (
             "repair_attempts", "repair_recovered", "repair_pattern_hits",
             "prefix_hits", "prefix_misses",
-            "llm_batched_calls", "llm_batch_draws",
         ):
             if column not in trace_columns:
                 self.connection.execute(
@@ -318,7 +315,7 @@ class ExperimentLogStore:
                 run_id, position, span.method, span.example_id, "",
                 span.seconds, int(span.cache_hit), 0, 0,
                 span.input_tokens, span.output_tokens, span.cost_usd,
-                span.failure, 0, 0, 0, 0, 0, 0, 0,
+                span.failure, 0, 0, 0, 0, 0,
             ))
             position += 1
             for stage in span.stages:
@@ -330,7 +327,6 @@ class ExperimentLogStore:
                     stage.repair_attempts, stage.repair_recovered,
                     stage.repair_pattern_hits,
                     stage.prefix_hits, stage.prefix_misses,
-                    stage.llm_batched_calls, stage.llm_batch_draws,
                 ))
                 position += 1
         if rows:
@@ -339,10 +335,9 @@ class ExperimentLogStore:
                 " method, example_id, stage, seconds, cache_hit, memo_hits,"
                 " llm_calls, input_tokens, output_tokens, cost_usd, failure,"
                 " repair_attempts, repair_recovered, repair_pattern_hits,"
-                " prefix_hits, prefix_misses, llm_batched_calls,"
-                " llm_batch_draws)"
+                " prefix_hits, prefix_misses)"
                 " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?,"
-                " ?, ?, ?, ?)",
+                " ?, ?)",
                 rows,
             )
             self.connection.commit()
@@ -354,7 +349,7 @@ class ExperimentLogStore:
             "SELECT method, example_id, stage, seconds, cache_hit, llm_calls,"
             " input_tokens, output_tokens, cost_usd, failure, memo_hits,"
             " repair_attempts, repair_recovered, repair_pattern_hits,"
-            " prefix_hits, prefix_misses, llm_batched_calls, llm_batch_draws"
+            " prefix_hits, prefix_misses"
             " FROM trace_spans WHERE run_id = ? ORDER BY position",
             (run_id,),
         )
@@ -375,8 +370,6 @@ class ExperimentLogStore:
                     repair_recovered=int(row[12]),
                     repair_pattern_hits=int(row[13]),
                     prefix_hits=int(row[14]), prefix_misses=int(row[15]),
-                    llm_batched_calls=int(row[16]),
-                    llm_batch_draws=int(row[17]),
                 ))
         return spans
 

@@ -74,7 +74,6 @@ from repro.obs.registry import (
     ingest_span,
 )
 from repro.dbengine.pool import pooling_enabled, set_pooling_enabled
-from repro.llm.engine import batching_enabled, set_batching_enabled
 from repro.utils.cache import caches_enabled, lru_cache_stats, set_caches_enabled
 from repro.obs.trace import ExampleSpan, Tracer, get_tracer, set_tracer
 from repro.sqlkit.features import SQLFeatures
@@ -158,7 +157,6 @@ def _worker_init(
         # re-applied).
         set_caches_enabled(bool(switches.get("caches", True)))
         set_pooling_enabled(bool(switches.get("pooling", True)))
-        set_batching_enabled(bool(switches.get("batching", True)))
     dataset = build_benchmark(benchmark_config)
     _WORKER["dataset"] = dataset
     _WORKER["evaluator"] = Evaluator(
@@ -296,7 +294,6 @@ class ParallelEvaluator:
                     {
                         "caches": caches_enabled(),
                         "pooling": pooling_enabled(),
-                        "batching": batching_enabled(),
                     },
                 ),
             )

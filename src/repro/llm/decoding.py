@@ -14,13 +14,8 @@ Decoders draw through a sampler bound by :func:`make_sampler`.  The
 bound sampler is callable as ``(draw, temperature) -> candidate`` (the
 historical closure contract, still used by the repair engine and
 self-correction) and additionally exposes :meth:`BoundSampler.many`,
-which routes a whole batch of draws through the model's batched
-``generate_many`` path — bit-identical to per-draw calls, draw-invariant
-work hoisted once.  ``many`` falls back to sequential per-draw calls
-when batching is globally disabled
-(:func:`repro.llm.engine.batching_disabled`), and reports through the
-ambient decode window when one is installed (the serving scheduler's
-continuous-batching hook).
+which passes a whole list of draws to the model's ``generate_many`` in
+one call, so draw-invariant work runs once per decode.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.dbengine.database import Database
-from repro.llm.engine import batching_enabled, current_decode_window
 from repro.llm.model import GenerationCandidate, SimulatedLanguageModel
 from repro.llm.prompt import Prompt
 from repro.llm.tokens import count_tokens
@@ -40,7 +34,7 @@ SampleFn = Callable[[int, float], GenerationCandidate]
 
 
 class BoundSampler:
-    """A model+prompt bound into a sampler with a batched ``many`` path."""
+    """A model+prompt bound into a sampler; ``many`` takes a draw list."""
 
     __slots__ = ("model", "prompt", "database", "_options")
 
@@ -73,29 +67,11 @@ class BoundSampler:
             **self._options,
         )
 
-    def generate_batch(
-        self, draws: list[tuple[int, float]]
-    ) -> list[GenerationCandidate]:
-        """Run ``draws`` through the batched model path (no window/switch)."""
+    def many(self, draws: list[tuple[int, float]]) -> list[GenerationCandidate]:
+        """Candidates for ``draws`` from one ``generate_many`` call."""
         return self.model.generate_many(
             self.prompt, self.database, list(draws), **self._options
         )
-
-    def many(self, draws: list[tuple[int, float]]) -> list[GenerationCandidate]:
-        """Candidates for ``draws``, batched when batching is enabled.
-
-        With batching disabled this is exactly the sequential per-draw
-        loop; with it enabled the batch runs through ``generate_many``
-        (and through the ambient decode window, when the serving
-        scheduler has installed one) — both paths produce bit-identical
-        candidates.
-        """
-        if not batching_enabled():
-            return [self(draw, temperature) for draw, temperature in draws]
-        window = current_decode_window()
-        if window is not None:
-            return window.submit(self, list(draws))
-        return self.generate_batch(list(draws))
 
 
 def make_sampler(
@@ -122,10 +98,10 @@ def make_sampler(
 def _draw_many(
     sample: SampleFn, draws: list[tuple[int, float]]
 ) -> list[GenerationCandidate]:
-    """Batch through ``sample.many`` when available, else draw singly.
+    """All ``draws`` through ``sample.many`` when available, else singly.
 
     Plain-function samplers (tests, custom harnesses) keep working: only
-    a :class:`BoundSampler` carries the batched path.
+    a :class:`BoundSampler` carries the many-draw path.
     """
     many = getattr(sample, "many", None)
     if many is not None:
@@ -172,10 +148,10 @@ class PicardDecoder:
     that changes beam composition and therefore downstream selection, so
     it is off by default and unused by the reproduced method configs.
 
-    Batching: the attempt loop always consumes at least
+    Prefetch: the attempt loop always consumes at least
     ``min(width, max_attempts)`` draws before it can stop (the beam
-    cannot fill sooner), so that window is pre-drawn through the batched
-    path and checked in order; any re-draws past it are topped up singly
+    cannot fill sooner), so those draws are taken in one many-draw call
+    and checked in order; any re-draws past them are topped up singly
     to preserve exact attempt accounting.
     """
 

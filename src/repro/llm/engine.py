@@ -1,8 +1,7 @@
-"""Batched LM inference engine plumbing: prefix cache, batching switch.
+"""Prompt prefix cache behind the prefix-cached prompt builder.
 
-This module is the infrastructure layer behind the batched generation
-path (``SimulatedLanguageModel.generate_many``) and the prefix-cached
-prompt builder (:func:`repro.modules.prompts.build_prompt`):
+This module is the infrastructure layer behind
+:func:`repro.modules.prompts.build_prompt`:
 
 * :class:`PromptSegment` — one rendered prompt fragment paired with its
   token count, so whole-prompt accounting becomes a sum of cached
@@ -19,31 +18,16 @@ prompt builder (:func:`repro.modules.prompts.build_prompt`):
   token budget.  All questions against the same database share one
   rendered (and token-counted) DDL segment, exactly like the prefix/
   radix KV caches of real inference servers share the prompt prefix.
-* a process-global **batching switch** — :func:`batching_enabled`,
-  :func:`set_batching_enabled`, and the :func:`batching_disabled`
-  context manager — mirroring ``caches_disabled()`` /
-  ``pooling_disabled()``.  The switch gates only *how* draws are
-  executed (batched vs one ``generate`` call per draw); results are
-  bit-identical either way, which ``tests/test_llm_engine.py`` asserts
-  across every decoder and execution mode.
-* a thread-local **decode window** registry — the hook through which
-  :class:`repro.serve.scheduler.DecodeScheduler` observes (and
-  accounts) the batched decode calls a ``(method, db_id)`` micro-batch
-  submits, without ``repro.llm`` ever importing ``repro.serve``.
 
 Thread/process safety: the prefix cache wraps thread-safe
 :class:`~repro.utils.cache.LRUCache` instances and may be shared across
 threads; it does not cross process boundaries (worker processes build
-their own lazily).  The batching switch is process-global like the memo
-and pooling switches; spawn-context workers must receive it explicitly
-(see the gateway handshake and ``repro.core.parallel``).
+their own lazily).
 """
 
 from __future__ import annotations
 
-import threading
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Hashable
 
@@ -126,59 +110,3 @@ def prefix_cache() -> PromptPrefixCache:
 def clear_prefix_cache() -> None:
     """Drop every cached segment (tests and long-lived servers)."""
     _PREFIX_CACHE.clear()
-
-
-# -- batching switch ------------------------------------------------------
-
-_BATCHING_ENABLED = True
-
-
-def batching_enabled() -> bool:
-    """True while the batched decode path is active (the default)."""
-    return _BATCHING_ENABLED
-
-
-def set_batching_enabled(enabled: bool) -> None:
-    """Globally enable/disable batched generation."""
-    global _BATCHING_ENABLED
-    _BATCHING_ENABLED = bool(enabled)
-
-
-@contextmanager
-def batching_disabled() -> Iterator[None]:
-    """Scoped bypass of the batched decode path (equivalence tests)."""
-    previous = _BATCHING_ENABLED
-    set_batching_enabled(False)
-    try:
-        yield
-    finally:
-        set_batching_enabled(previous)
-
-
-# -- decode window registry ----------------------------------------------
-
-# The serving scheduler installs a window object around each micro-batch
-# so member requests' batched decode calls flow through one shared
-# accounting context (continuous batching across requests).  Windows are
-# thread-local: each serve worker thread runs one micro-batch at a time.
-_WINDOW_TLS = threading.local()
-
-
-def current_decode_window():
-    """The decode window installed on this thread, or ``None``."""
-    return getattr(_WINDOW_TLS, "window", None)
-
-
-@contextmanager
-def decode_window(window) -> Iterator[None]:
-    """Install ``window`` as this thread's decode window for the scope.
-
-    ``window`` must expose ``submit(sampler, draws)`` returning the
-    candidate list (see :class:`repro.serve.scheduler.DecodeScheduler`).
-    """
-    previous = current_decode_window()
-    _WINDOW_TLS.window = window
-    try:
-        yield
-    finally:
-        _WINDOW_TLS.window = previous

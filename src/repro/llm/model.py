@@ -185,92 +185,12 @@ class SimulatedLanguageModel:
 
         ``draw`` indexes independent decode samples (beam entries or
         self-consistency samples); draw 0 at temperature 0 is the greedy
-        completion.
+        completion.  This is a one-draw :meth:`generate_many`.
         """
-        schema = database.schema
-        use_caches = caches_enabled()
-        effective_schema = self._effective_schema(database, prompt)
-
-        context = CorruptionContext(
-            schema=effective_schema,
-            database=database,
-            profile=self.profile,
-            features=prompt.features,
-            finetune=self.finetune,
-            domain=schema.domain,
-            temperature=temperature,
-            uses_natsql=uses_natsql,
-            decomposed=decomposed,
-            overdecompose=overdecompose,
-        )
-
-        question_key = self._question_key(prompt)
-        systematic_rng = derive_rng(self.seed, "sys", *question_key)
-        draw_rng = derive_rng(self.seed, "draw", *question_key, draw, round(temperature, 3))
-
-        # A parse failure is as deterministic as a parse success (both
-        # depend only on question + effective schema + lexicon), so the
-        # memo stores intent-or-None and parse_failed is derived from it.
-        if use_caches:
-            intent_key = (
-                prompt.db_id,
-                prompt.question,
-                prompt.features.schema_tables,
-            )
-            hit, intent = self._intent_cache.lookup(intent_key)
-            if hit:
-                get_tracer().annotate_stage(memo_hits=1)
-            else:
-                intent = self._parse_intent(effective_schema, prompt.question)
-                self._intent_cache.put(intent_key, intent)
-        else:
-            intent = self._parse_intent(effective_schema, prompt.question)
-        parse_failed = intent is None
-
-        if intent is None:
-            sql = self._fallback_sql(prompt.question, effective_schema)
-            tokens = count_tokens(sql)
-            get_tracer().annotate_stage(llm_calls=1, output_tokens=tokens)
-            return GenerationCandidate(
-                sql=sql,
-                output_tokens=tokens,
-                parse_failed=True,
-                errors=("parse_failure",),
-                draw=draw,
-            )
-
-        rates = error_rates(context, intent)
-        systematic_rates = {k: v * _SYSTEMATIC_FRACTION for k, v in rates.items()}
-        stochastic_scale = (1.0 - _SYSTEMATIC_FRACTION) * (1.0 + 0.8 * temperature)
-        stochastic_rates = {k: v * stochastic_scale for k, v in rates.items()}
-
-        sampler_sys = CorruptionSampler(context, systematic_rng)
-        intent = sampler_sys.apply(intent, systematic_rates)
-        sampler_draw = CorruptionSampler(context, draw_rng)
-        intent = sampler_draw.apply(intent, stochastic_rates)
-
-        style = StyleChoices()
-        if style_divergence > 0:
-            style_rng = derive_rng(self.seed, "style", *question_key)
-            style = sample_style(style_rng, style_divergence)
-
-        sql = self._render(intent, schema, style, uses_natsql)
-
-        # Syntax breakage is mostly a decoding-level accident: stochastic.
-        if draw_rng.random() < rates["syntax_error"] * stochastic_scale * 1.8:
-            sql = _break_syntax(sql, draw_rng)
-            context.errors.append("syntax_error")
-
-        tokens = count_tokens(sql)
-        get_tracer().annotate_stage(llm_calls=1, output_tokens=tokens)
-        return GenerationCandidate(
-            sql=sql,
-            output_tokens=tokens,
-            parse_failed=parse_failed,
-            errors=tuple(context.errors),
-            intent=intent,
-            draw=draw,
-        )
+        return self._generate(
+            prompt, database, [(draw, temperature)], uses_natsql,
+            decomposed, overdecompose, style_divergence,
+        )[0]
 
     def generate_many(
         self,
@@ -282,18 +202,35 @@ class SimulatedLanguageModel:
         overdecompose: bool = False,
         style_divergence: float = 0.0,
     ) -> list[GenerationCandidate]:
-        """Generate one candidate per ``(draw, temperature)`` pair, batched.
+        """Generate one candidate per ``(draw, temperature)`` pair.
 
-        Bit-identical to calling :meth:`generate` once per pair, but the
-        draw-invariant work — lexicon, honest intent parse, pruned
-        schema, style sampling, and the *systematic* corruption component
-        (which depends only on the question and the temperature) — is
-        hoisted out of the per-draw loop.  Each draw's stochastic RNG
-        stream is derived and consumed exactly as in :meth:`generate`:
-        the systematic stream is keyed by question only, the draw stream
-        by ``(question, draw, temperature)``, and neither reads the
-        other, so hoisting cannot change any sampled value.
+        Each candidate depends only on its own pair, never on which other
+        draws share the call, so a batch equals one :meth:`generate` per
+        pair.  The draw-invariant work — lexicon, honest intent parse,
+        pruned schema, style sampling, and the *systematic* corruption
+        component (which depends only on the question and the
+        temperature) — runs once per call.  The systematic RNG stream is
+        keyed by question only and each draw's stream by ``(question,
+        draw, temperature)``; neither reads the other, so sharing the
+        systematic work cannot change any sampled value.
         """
+        return self._generate(
+            prompt, database, draws, uses_natsql,
+            decomposed, overdecompose, style_divergence,
+        )
+
+    def _generate(
+        self,
+        prompt: Prompt,
+        database: Database,
+        draws: list[tuple[int, float]],
+        uses_natsql: bool,
+        decomposed: bool,
+        overdecompose: bool,
+        style_divergence: float,
+    ) -> list[GenerationCandidate]:
+        """The one generation body behind :meth:`generate` and
+        :meth:`generate_many` (neither public method calls the other)."""
         if not draws:
             return []
         schema = database.schema
@@ -301,8 +238,9 @@ class SimulatedLanguageModel:
         effective_schema = self._effective_schema(database, prompt)
         question_key = self._question_key(prompt)
 
-        # One honest parse for the whole batch (per-draw calls repeat it
-        # verbatim; with the memo on they pay a lookup each instead).
+        # One honest parse per call.  A parse failure is as deterministic
+        # as a success (both depend only on question + effective schema +
+        # lexicon), so the memo stores intent-or-None.
         if use_caches:
             intent_key = (
                 prompt.db_id,
@@ -320,14 +258,11 @@ class SimulatedLanguageModel:
 
         if intent is None:
             # Parse failure: every draw degrades to the same deterministic
-            # fallback; accounting matches one annotate per sequential call.
+            # fallback.
             sql = self._fallback_sql(prompt.question, effective_schema)
             tokens = count_tokens(sql)
             get_tracer().annotate_stage(
-                llm_calls=len(draws),
-                output_tokens=tokens * len(draws),
-                llm_batched_calls=1,
-                llm_batch_draws=len(draws),
+                llm_calls=len(draws), output_tokens=tokens * len(draws)
             )
             return [
                 GenerationCandidate(
@@ -342,8 +277,7 @@ class SimulatedLanguageModel:
 
         style = StyleChoices()
         if style_divergence > 0:
-            # Sequential calls re-derive this stream per call and land on
-            # the same choices; one sample is exactly equivalent.
+            # Keyed by question only: every draw gets the same choices.
             style_rng = derive_rng(self.seed, "style", *question_key)
             style = sample_style(style_rng, style_divergence)
 
@@ -362,9 +296,9 @@ class SimulatedLanguageModel:
             )
 
         # The systematic component is f(question, temperature): its RNG
-        # stream is freshly derived per generate() call from question-only
-        # keys, so all draws sharing a temperature share one systematic
-        # intent and error list.  Cache it per distinct temperature.
+        # stream is derived from question-only keys, so all draws sharing
+        # a temperature share one systematic intent and error list.
+        # Cache it per distinct temperature.
         systematic: dict[float, tuple] = {}
 
         def systematic_state(temperature: float) -> tuple:
@@ -423,6 +357,7 @@ class SimulatedLanguageModel:
                 if render_key is not None:
                     render_memo[render_key] = sql
 
+            # Syntax breakage is mostly a decoding-level accident: stochastic.
             if draw_rng.random() < rates["syntax_error"] * stochastic_scale * 1.8:
                 sql = _break_syntax(sql, draw_rng)
                 draw_context.errors.append("syntax_error")
@@ -440,10 +375,7 @@ class SimulatedLanguageModel:
                 )
             )
         get_tracer().annotate_stage(
-            llm_calls=len(draws),
-            output_tokens=total_tokens,
-            llm_batched_calls=1,
-            llm_batch_draws=len(draws),
+            llm_calls=len(draws), output_tokens=total_tokens
         )
         return results
 

@@ -210,14 +210,6 @@ def ingest_span(registry: MetricsRegistry, benchmark: str, span) -> None:
         prefix_misses = getattr(stage, "prefix_misses", 0)
         if prefix_misses:
             registry.count("prefix_misses", value=prefix_misses, **labels)
-        llm_batched_calls = getattr(stage, "llm_batched_calls", 0)
-        if llm_batched_calls:
-            registry.count(
-                "llm_batched_calls", value=llm_batched_calls, **labels
-            )
-        llm_batch_draws = getattr(stage, "llm_batch_draws", 0)
-        if llm_batch_draws:
-            registry.count("llm_batch_draws", value=llm_batch_draws, **labels)
 
 
 #: read-path counter -> metric name (PoolStats vocabulary -> ``pool_*``).

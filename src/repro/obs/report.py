@@ -45,12 +45,10 @@ _SCHEDULE_SENSITIVE_CACHE_KEYS = frozenset(
         # Read-path counters: how many replicas/cursors get created and
         # which checkout pays a refresh depends on thread interleaving.
         "pool_replicas", "pool_checkouts", "pool_refreshes", "pool_waits",
-        # Prompt-prefix-cache and batched-decode counters: which build
-        # warms a shared segment first and how draws group into batches
-        # depend on sharding and the batching switch, while the rendered
-        # prompts and candidates stay bit-identical.
+        # Prompt-prefix-cache counters: which build warms a shared
+        # segment first depends on sharding, while the rendered prompts
+        # stay bit-identical.
         "prefix_hits", "prefix_misses", "prefix_hit_pct",
-        "llm_batched_calls", "llm_batch_draws",
     }
 )
 
@@ -147,8 +145,6 @@ def build_run_report(
             "repair_pattern_hits": int(row.get("repair_pattern_hits", 0)),
             "prefix_hits": int(row.get("prefix_hits", 0)),
             "prefix_misses": int(row.get("prefix_misses", 0)),
-            "llm_batched_calls": int(row.get("llm_batched_calls", 0)),
-            "llm_batch_draws": int(row.get("llm_batch_draws", 0)),
         }
         for stage, row in stage_breakdown(spans).items()
     ]
@@ -218,16 +214,6 @@ def build_run_report(
         getattr(stage, "prefix_misses", 0) for span in spans for stage in span.stages
     )
     prefix_lookups = prefix_hits + prefix_misses
-    llm_batched_calls = sum(
-        getattr(stage, "llm_batched_calls", 0)
-        for span in spans
-        for stage in span.stages
-    )
-    llm_batch_draws = sum(
-        getattr(stage, "llm_batch_draws", 0)
-        for span in spans
-        for stage in span.stages
-    )
     cache = {
         "examples": n,
         "result_cache_hits": result_cache_hits,
@@ -251,8 +237,6 @@ def build_run_report(
         "prefix_hit_pct": (
             round(100.0 * prefix_hits / prefix_lookups, 2) if prefix_lookups else 0.0
         ),
-        "llm_batched_calls": llm_batched_calls,
-        "llm_batch_draws": llm_batch_draws,
     }
 
     repair_attempts = sum(
@@ -426,8 +410,6 @@ def render_markdown(report: RunReport) -> str:
         f"- prompt prefix cache: {cache.get('prefix_hits', 0)} segment hits / "
         f"{cache.get('prefix_misses', 0)} misses "
         f"({cache.get('prefix_hit_pct', 0.0)}% hit rate)",
-        f"- batched decoding: {cache.get('llm_batched_calls', 0)} batched "
-        f"calls covering {cache.get('llm_batch_draws', 0)} draws",
         "",
         "## Self-repair",
         "",

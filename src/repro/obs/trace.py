@@ -71,12 +71,10 @@ class StageSpan:
     first, so it is excluded.
 
     ``prefix_hits`` / ``prefix_misses`` count prompt-prefix-cache segment
-    lookups (see :class:`repro.llm.engine.PromptPrefixCache`) and
-    ``llm_batched_calls`` / ``llm_batch_draws`` count batched
-    ``generate_many`` invocations and the draws they carried.  All four
-    are schedule-sensitive (cache warm-up order, batching switch) while
-    the *results* stay bit-identical, so — like ``memo_hits`` — they are
-    excluded from ``structure()``.
+    lookups (see :class:`repro.llm.engine.PromptPrefixCache`).  Both are
+    schedule-sensitive (cache warm-up order) while the *results* stay
+    bit-identical, so — like ``memo_hits`` — they are excluded from
+    ``structure()``.
     """
 
     stage: str
@@ -90,8 +88,6 @@ class StageSpan:
     repair_pattern_hits: int = 0
     prefix_hits: int = 0
     prefix_misses: int = 0
-    llm_batched_calls: int = 0
-    llm_batch_draws: int = 0
 
 
 @dataclass
@@ -214,8 +210,6 @@ class Tracer:
         repair_pattern_hits: int = 0,
         prefix_hits: int = 0,
         prefix_misses: int = 0,
-        llm_batched_calls: int = 0,
-        llm_batch_draws: int = 0,
     ) -> None:
         """Add counters to the innermost open stage span (if any)."""
         span = getattr(self._tls, "stage", None)
@@ -228,8 +222,6 @@ class Tracer:
             span.repair_pattern_hits += repair_pattern_hits
             span.prefix_hits += prefix_hits
             span.prefix_misses += prefix_misses
-            span.llm_batched_calls += llm_batched_calls
-            span.llm_batch_draws += llm_batch_draws
 
     # -- collection ------------------------------------------------------
 
@@ -276,8 +268,6 @@ class NullTracer(Tracer):
         repair_pattern_hits: int = 0,
         prefix_hits: int = 0,
         prefix_misses: int = 0,
-        llm_batched_calls: int = 0,
-        llm_batch_draws: int = 0,
     ) -> None:
         pass
 
@@ -360,9 +350,8 @@ def stage_breakdown(spans: list[ExampleSpan]) -> dict[str, dict[str, float]]:
 
     Returns ``stage -> {calls, seconds, avg_ms, cache_hits, memo_hits,
     llm_calls, output_tokens, repair_attempts, repair_recovered,
-    repair_pattern_hits, prefix_hits, prefix_misses, llm_batched_calls,
-    llm_batch_draws, share_pct}`` with stages in canonical order
-    (unknown stages follow alphabetically).
+    repair_pattern_hits, prefix_hits, prefix_misses, share_pct}`` with
+    stages in canonical order (unknown stages follow alphabetically).
     """
     totals: dict[str, dict[str, float]] = {}
     for span in spans:
@@ -373,8 +362,7 @@ def stage_breakdown(spans: list[ExampleSpan]) -> dict[str, dict[str, float]]:
                  "memo_hits": 0, "llm_calls": 0, "output_tokens": 0,
                  "repair_attempts": 0, "repair_recovered": 0,
                  "repair_pattern_hits": 0, "prefix_hits": 0,
-                 "prefix_misses": 0, "llm_batched_calls": 0,
-                 "llm_batch_draws": 0},
+                 "prefix_misses": 0},
             )
             row["calls"] += 1
             row["seconds"] += stage.seconds
@@ -387,8 +375,6 @@ def stage_breakdown(spans: list[ExampleSpan]) -> dict[str, dict[str, float]]:
             row["repair_pattern_hits"] += stage.repair_pattern_hits
             row["prefix_hits"] += stage.prefix_hits
             row["prefix_misses"] += stage.prefix_misses
-            row["llm_batched_calls"] += stage.llm_batched_calls
-            row["llm_batch_draws"] += stage.llm_batch_draws
     grand_total = sum(row["seconds"] for row in totals.values())
     for row in totals.values():
         row["avg_ms"] = 1000.0 * row["seconds"] / max(row["calls"], 1)

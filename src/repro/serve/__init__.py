@@ -2,10 +2,7 @@
 
 :mod:`repro.serve.engine` is the request scheduler (micro-batching,
 in-flight coalescing, admission control, deadlines, warm start);
-:mod:`repro.serve.scheduler` opens one decode window per micro-batch so
-member requests' decoder draws run through the model's batched
-``generate_many`` path (bit-identical candidates, hoisted per-question
-work); :mod:`repro.serve.cache` is the cross-request response cache tier
+:mod:`repro.serve.cache` is the cross-request response cache tier
 (TTL+LRU, ``data_version``-invalidated); :mod:`repro.serve.workload`
 generates seeded Zipf-skewed request streams; :mod:`repro.serve.bench`
 is the load-generator benchmark behind ``python -m repro serve-bench``
@@ -40,12 +37,9 @@ from repro.serve.gateway import (
     HashRing,
     ShardedGateway,
 )
-from repro.serve.scheduler import DecodeScheduler, DecodeWindowStats
 from repro.serve.workload import WorkloadSpec, build_workload
 
 __all__ = [
-    "DecodeScheduler",
-    "DecodeWindowStats",
     "HashRing",
     "ShardedGateway",
     "GatewayStats",

@@ -72,7 +72,6 @@ from repro.methods.zoo import build_method, with_repair
 from repro.obs.registry import MetricsRegistry, ingest_pool_deltas
 from repro.obs.trace import get_tracer
 from repro.serve.cache import DEFAULT_RESPONSE_CACHE_SIZE, ResponseCache
-from repro.serve.scheduler import DecodeScheduler
 from repro.utils.text import normalize_question
 
 
@@ -198,10 +197,6 @@ class ServeStats:
     warmed_methods: int = 0
     warmed_gold: int = 0
     spans_dropped: int = 0
-    decode_windows: int = 0
-    decode_submissions: int = 0
-    decode_draws: int = 0
-    decode_max_submission: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return dict(vars(self))
@@ -391,10 +386,6 @@ class ServingEngine:
         self._cache_stats_at_start: dict[str, int] = {}
         self._pool_stats_at_start: dict[str, int] = {}
         self.stats = ServeStats()
-        # One decode scheduler per engine: every micro-batch runs under a
-        # decode window so member requests' draws go through the batched
-        # model path (see repro.serve.scheduler).
-        self.decode_scheduler = DecodeScheduler()
         self.request_log: deque[ServeSpan] = deque(
             maxlen=self.config.request_log_size
         )
@@ -759,30 +750,8 @@ class ServingEngine:
                     self._pool.submit(self._run_batch, batch)
 
     def _run_batch(self, batch: list[_Computation]) -> None:
-        # The decode window makes every member request's decoder draws go
-        # through the batched model path; candidates stay bit-identical,
-        # so serving output is unchanged by the batching switch.
-        with self.decode_scheduler.window(len(batch)) as window:
-            for computation in batch:
-                self._run_computation(computation, len(batch))
-        if window is None:
-            return
-        with self._lock:
-            self.stats.decode_windows += 1
-            self.stats.decode_submissions += window.submissions
-            self.stats.decode_draws += window.draws
-            self.stats.decode_max_submission = max(
-                self.stats.decode_max_submission, window.max_submission
-            )
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.metrics.count("serve_decode_windows")
-            if window.submissions:
-                tracer.metrics.count(
-                    "serve_decode_submissions", value=window.submissions
-                )
-            if window.draws:
-                tracer.metrics.count("serve_decode_draws", value=window.draws)
+        for computation in batch:
+            self._run_computation(computation, len(batch))
 
     def _run_computation(self, computation: _Computation, batch_size: int) -> None:
         now = time.perf_counter()

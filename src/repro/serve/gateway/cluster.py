@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from repro.datagen.benchmark import BenchmarkConfig, Dataset
 from repro.dbengine.backends import available_backends, backend_available
 from repro.dbengine.pool import pooling_enabled
-from repro.llm.engine import batching_enabled
 from repro.errors import GatewayError
 from repro.obs.prometheus import merge_metric_exports, render_prometheus
 from repro.obs.registry import MetricsRegistry
@@ -196,7 +195,6 @@ class ShardedGateway:
         switches = {
             "pooling": pooling_enabled(),
             "caches": caches_enabled(),
-            "batching": batching_enabled(),
         }
         for shard_id in range(self.shards):
             parent_conn, child_conn = context.Pipe()

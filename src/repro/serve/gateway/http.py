@@ -159,10 +159,14 @@ class GatewayHTTPServer:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or "0")
-                if length > _MAX_BODY_BYTES:
+                try:
+                    length = int(headers.get("content-length") or "0")
+                except ValueError:
+                    length = -1
+                if length < 0 or length > _MAX_BODY_BYTES:
+                    error = "bad content-length" if length < 0 else "body too large"
                     writer.write(_http_response(
-                        400, _json_bytes({"error": "body too large"}),
+                        400, _json_bytes({"error": error}),
                         "application/json", keep_alive=False,
                     ))
                     await writer.drain()
@@ -191,6 +195,8 @@ class GatewayHTTPServer:
         if method == "POST" and path == "/query":
             try:
                 request = json.loads(body.decode("utf-8") or "{}")
+                if not isinstance(request, dict):
+                    raise ValueError("expected a JSON object")
                 name = request["method"]
                 db_id = request["db_id"]
                 question = request["question"]

@@ -34,7 +34,6 @@ from dataclasses import replace
 
 from repro.datagen.benchmark import BenchmarkConfig, build_benchmark
 from repro.dbengine.pool import pooling_enabled, set_pooling_enabled
-from repro.llm.engine import batching_enabled, set_batching_enabled
 from repro.obs.trace import Tracer, tracing
 from repro.serve.engine import ServeConfig, ServeRequest, ServingEngine
 from repro.serve.gateway.ring import HashRing
@@ -73,7 +72,6 @@ def worker_main(
     # their defaults, so the parent's choices must be re-applied here.
     set_pooling_enabled(bool(switches.get("pooling", True)))
     set_caches_enabled(bool(switches.get("caches", True)))
-    set_batching_enabled(bool(switches.get("batching", True)))
     dataset = build_benchmark(dataset_config)
     ring = HashRing(shards, vnodes)
     owned = owned_db_ids(list(dataset.databases), shard_id, ring)
@@ -143,7 +141,6 @@ def _dispatch(message, engine, dataset, tracer, shard_id, owned):
             "db_ids": list(owned),
             "pooling": pooling_enabled(),
             "caches": caches_enabled(),
-            "batching": batching_enabled(),
             # The execution backend this worker's rebuilt dataset runs
             # on — the parent asserts it matches the coordinator's.
             "backend": dataset.config.backend if dataset.config else "sqlite",

@@ -344,32 +344,19 @@ class TestLLMEngineDocs:
         documented = _read("docs/OBSERVABILITY.md") + _read("docs/PIPELINE.md")
         for symbol in (
             "PromptPrefixCache", "PromptSegment", "prefix_cache",
-            "clear_prefix_cache", "batching_disabled", "generate_many",
+            "clear_prefix_cache", "generate_many",
         ):
             assert hasattr(repro.llm, symbol) or symbol == "generate_many", symbol
             assert symbol in documented, (
                 f"{symbol} missing from the pipeline/observability docs"
             )
 
-    def test_batching_switch_mirrors_cache_switch(self):
-        from repro.llm import (
-            batching_disabled, batching_enabled, set_batching_enabled,
-        )
-        assert batching_enabled()
-        with batching_disabled():
-            assert not batching_enabled()
-        assert batching_enabled()
-        assert callable(set_batching_enabled)
-
     def test_engine_counters_exist_in_code_and_docs(self):
         from repro.obs import StageSpan
         span = StageSpan(stage="decode")
         observability = _read("docs/OBSERVABILITY.md")
         pipeline = _read("docs/PIPELINE.md")
-        for counter in (
-            "prefix_hits", "prefix_misses", "llm_batched_calls",
-            "llm_batch_draws",
-        ):
+        for counter in ("prefix_hits", "prefix_misses"):
             assert hasattr(span, counter), counter
             assert f"`{counter}`" in observability, (
                 f"{counter} missing from docs/OBSERVABILITY.md"
@@ -389,41 +376,16 @@ class TestLLMEngineDocs:
             method="m", example_id=1,
             stages=[StageSpan(
                 stage="decode", prefix_hits=3, prefix_misses=1,
-                llm_batched_calls=2, llm_batch_draws=9,
             )],
         )
         assert bare.structure() == counted.structure()
         from repro.obs.report import _SCHEDULE_SENSITIVE_CACHE_KEYS
-        for key in ("prefix_hits", "prefix_misses", "llm_batched_calls",
-                    "llm_batch_draws"):
+        for key in ("prefix_hits", "prefix_misses"):
             assert key in _SCHEDULE_SENSITIVE_CACHE_KEYS, key
-
-    def test_decode_scheduler_is_documented(self):
-        import repro.serve
-        serving = _read("docs/SERVING.md")
-        for symbol in ("DecodeScheduler", "DecodeWindowStats"):
-            assert hasattr(repro.serve, symbol), symbol
-            assert f"`{symbol}`" in serving, symbol
-        for metric in ("serve_decode_windows", "serve_decode_submissions",
-                       "serve_decode_draws"):
-            assert f"`{metric}`" in serving, f"{metric} not in SERVING.md"
-            assert f"`{metric}`" in _read("docs/OBSERVABILITY.md"), (
-                f"{metric} not in OBSERVABILITY.md"
-            )
-
-    def test_bench_artifacts_exist_and_are_referenced(self):
-        assert (ROOT / "scripts" / "bench_llm.py").exists()
-        assert (ROOT / "BENCH_llm.json").exists()
-        assert (ROOT / "benchmarks" / "test_perf_llm_smoke.py").exists()
-        for doc in ("README.md", "docs/OBSERVABILITY.md"):
-            text = _read(doc)
-            assert "BENCH_llm.json" in text, doc
-            assert "bench_llm.py" in text, doc
 
     def test_readme_hot_paths_note(self):
         readme = _read("README.md")
         assert "Hot paths" in readme
-        assert "`batching_disabled()`" in readme
         assert "tests/test_llm_engine.py" in readme
         assert (ROOT / "tests" / "test_llm_engine.py").exists()
 

@@ -1,12 +1,12 @@
-"""Tests for the inference engine layer (repro.llm.engine).
+"""Tests for the inference engine layer (repro.llm.engine) and decoding.
 
 The load-bearing property is bit-exactness: the prompt-prefix cache must
 assemble byte-identical prompts with exact summed token counts (cold,
-warm, and with caches disabled), and the batched decode path
-(``generate_many`` / ``BoundSampler.many`` / the serving decode window)
-must produce candidate streams identical to sequential per-draw
-generation for every decoder and every execution mode, so the batching
-switch can never change results — only wall-clock.
+warm, and with caches disabled), and the model's one generation body
+(``generate`` / ``generate_many`` / ``BoundSampler.many``) must produce
+candidate streams identical to :func:`reference_generate` — the
+straight-line per-draw generation kept here as an oracle — for every
+profile, decoder and execution mode.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.evaluator import Evaluator
 from repro.core.parallel import ParallelEvaluator
+from repro.llm.corruption import CorruptionContext, CorruptionSampler, error_rates
 from repro.llm.decoding import (
     BeamDecoder,
     GreedyDecoder,
@@ -25,27 +26,28 @@ from repro.llm.decoding import (
 from repro.llm.engine import (
     PromptPrefixCache,
     PromptSegment,
-    batching_disabled,
-    batching_enabled,
     clear_prefix_cache,
-    current_decode_window,
-    decode_window,
     prefix_cache,
-    set_batching_enabled,
 )
-from repro.llm.model import SimulatedLanguageModel
+from repro.llm.model import (
+    _SYSTEMATIC_FRACTION,
+    GenerationCandidate,
+    SimulatedLanguageModel,
+    _break_syntax,
+)
 from repro.llm.prompt import Prompt
-from repro.llm.registry import get_profile
+from repro.llm.registry import MODEL_REGISTRY, get_profile
+from repro.llm.styles import StyleChoices, sample_style
 from repro.llm.tokens import count_tokens
 from repro.methods.zoo import build_method
 from repro.modules.base import PipelineConfig
 from repro.modules.prompts import build_prompt
-from repro.obs.trace import Tracer, tracing
+from repro.obs.trace import Tracer, get_tracer, tracing
 from repro.schema.model import Column, ColumnType, DatabaseSchema, Table
 from repro.serve import ServeConfig, ServingEngine, WorkloadSpec, build_workload
-from repro.serve.scheduler import DecodeScheduler
 from repro.sqlkit.picard import PicardChecker
-from repro.utils.cache import caches_disabled
+from repro.utils.cache import caches_disabled, caches_enabled
+from repro.utils.rng import derive_rng
 
 # Methods covering all four decode paths: greedy (DAILSQL), sampling
 # (DAILSQL(SC) self-consistency), beam (BRIDGE v2), picard (T5-3B).
@@ -70,6 +72,116 @@ PROMPT_CONFIGS = [
 # (draw, temperature) pairs exercising every decoder's draw pattern plus
 # the repair engine's high-draw re-draws.
 DRAWS = [(0, 0.0), (1, 0.15), (2, 0.15), (3, 0.5), (4, 0.5), (101, 0.0)]
+
+
+def reference_generate(
+    model: SimulatedLanguageModel,
+    prompt: Prompt,
+    database,
+    temperature: float = 0.0,
+    draw: int = 0,
+    uses_natsql: bool = False,
+    decomposed: bool = False,
+    overdecompose: bool = False,
+    style_divergence: float = 0.0,
+) -> GenerationCandidate:
+    """Oracle: one draw generated straight through, nothing shared.
+
+    Every step is redone for the one draw — context, honest parse,
+    systematic and stochastic corruption on one shared context, style,
+    render — with no per-temperature or render memo.  The model's
+    generation body must match it draw for draw.
+    """
+    schema = database.schema
+    effective_schema = model._effective_schema(database, prompt)
+    context = CorruptionContext(
+        schema=effective_schema,
+        database=database,
+        profile=model.profile,
+        features=prompt.features,
+        finetune=model.finetune,
+        domain=schema.domain,
+        temperature=temperature,
+        uses_natsql=uses_natsql,
+        decomposed=decomposed,
+        overdecompose=overdecompose,
+    )
+    question_key = model._question_key(prompt)
+    systematic_rng = derive_rng(model.seed, "sys", *question_key)
+    draw_rng = derive_rng(
+        model.seed, "draw", *question_key, draw, round(temperature, 3)
+    )
+
+    if caches_enabled():
+        intent_key = (prompt.db_id, prompt.question, prompt.features.schema_tables)
+        hit, intent = model._intent_cache.lookup(intent_key)
+        if hit:
+            get_tracer().annotate_stage(memo_hits=1)
+        else:
+            intent = model._parse_intent(effective_schema, prompt.question)
+            model._intent_cache.put(intent_key, intent)
+    else:
+        intent = model._parse_intent(effective_schema, prompt.question)
+
+    if intent is None:
+        sql = model._fallback_sql(prompt.question, effective_schema)
+        tokens = count_tokens(sql)
+        get_tracer().annotate_stage(llm_calls=1, output_tokens=tokens)
+        return GenerationCandidate(
+            sql=sql,
+            output_tokens=tokens,
+            parse_failed=True,
+            errors=("parse_failure",),
+            draw=draw,
+        )
+
+    rates = error_rates(context, intent)
+    systematic_rates = {k: v * _SYSTEMATIC_FRACTION for k, v in rates.items()}
+    stochastic_scale = (1.0 - _SYSTEMATIC_FRACTION) * (1.0 + 0.8 * temperature)
+    stochastic_rates = {k: v * stochastic_scale for k, v in rates.items()}
+    intent = CorruptionSampler(context, systematic_rng).apply(intent, systematic_rates)
+    intent = CorruptionSampler(context, draw_rng).apply(intent, stochastic_rates)
+
+    style = StyleChoices()
+    if style_divergence > 0:
+        style_rng = derive_rng(model.seed, "style", *question_key)
+        style = sample_style(style_rng, style_divergence)
+    sql = model._render(intent, schema, style, uses_natsql)
+    if draw_rng.random() < rates["syntax_error"] * stochastic_scale * 1.8:
+        sql = _break_syntax(sql, draw_rng)
+        context.errors.append("syntax_error")
+
+    tokens = count_tokens(sql)
+    get_tracer().annotate_stage(llm_calls=1, output_tokens=tokens)
+    return GenerationCandidate(
+        sql=sql,
+        output_tokens=tokens,
+        parse_failed=False,
+        errors=tuple(context.errors),
+        intent=intent,
+        draw=draw,
+    )
+
+
+def reference_generate_many(model, prompt, database, draws, **options):
+    """Oracle for ``generate_many``: one :func:`reference_generate` per draw."""
+    return [
+        reference_generate(
+            model, prompt, database, temperature=temperature, draw=draw, **options
+        )
+        for draw, temperature in draws
+    ]
+
+
+def oracle_sampler(model, prompt, database):
+    """A plain-function sampler over the oracle (no ``many`` attribute)."""
+
+    def sample(draw, temperature):
+        return reference_generate(
+            model, prompt, database, temperature=temperature, draw=draw
+        )
+
+    return sample
 
 
 def build_dev_prompts(dataset, config, limit=8):
@@ -174,59 +286,78 @@ class TestPromptTokenCount:
         assert prompt.token_count == 123
 
 
-class TestBatchingSwitch:
-    def test_default_enabled(self):
-        assert batching_enabled()
-
-    def test_context_manager_restores(self):
-        with batching_disabled():
-            assert not batching_enabled()
-        assert batching_enabled()
-
-    def test_setter(self):
-        set_batching_enabled(False)
-        try:
-            assert not batching_enabled()
-        finally:
-            set_batching_enabled(True)
-
-
 class TestGenerateManyEquivalence:
-    @pytest.mark.parametrize("profile_name", ["gpt-4", "llama2-7b", "t5-base"])
+    """``generate`` and ``generate_many`` match the per-draw oracle."""
+
+    def assert_matches_oracle(self, model, prompt, database, **options):
+        expected = reference_generate_many(model, prompt, database, DRAWS, **options)
+        assert model.generate_many(prompt, database, DRAWS, **options) == expected
+        assert [
+            model.generate(prompt, database, temperature=t, draw=d, **options)
+            for d, t in DRAWS
+        ] == expected
+
+    @pytest.mark.parametrize("profile_name", sorted(MODEL_REGISTRY))
     def test_batched_matches_sequential(self, small_dataset, profile_name):
         model = SimulatedLanguageModel(get_profile(profile_name), seed=42)
-        for prompt, database in build_dev_prompts(small_dataset, PROMPT_CONFIGS[0]):
-            sequential = [
-                model.generate(prompt, database, temperature=t, draw=d)
-                for d, t in DRAWS
-            ]
-            batched = model.generate_many(prompt, database, DRAWS)
-            assert batched == sequential
+        for prompt, database in build_dev_prompts(
+            small_dataset, PROMPT_CONFIGS[0], limit=4
+        ):
+            self.assert_matches_oracle(model, prompt, database)
 
     def test_batched_matches_sequential_with_options(self, small_dataset):
         model = SimulatedLanguageModel(get_profile("gpt-3.5-turbo"), seed=7)
-        options = dict(
-            uses_natsql=True, decomposed=True, overdecompose=False,
-            style_divergence=0.4,
-        )
-        for prompt, database in build_dev_prompts(small_dataset, PROMPT_CONFIGS[1]):
-            sequential = [
-                model.generate(prompt, database, temperature=t, draw=d, **options)
-                for d, t in DRAWS
-            ]
-            assert model.generate_many(prompt, database, DRAWS, **options) == sequential
+        for options in (
+            dict(uses_natsql=True, decomposed=True, style_divergence=0.4),
+            dict(overdecompose=True, style_divergence=0.9),
+        ):
+            for prompt, database in build_dev_prompts(
+                small_dataset, PROMPT_CONFIGS[1]
+            ):
+                self.assert_matches_oracle(model, prompt, database, **options)
 
     def test_batched_matches_sequential_caches_off(self, small_dataset):
         model = SimulatedLanguageModel(get_profile("gpt-4"), seed=42)
         with caches_disabled():
-            for prompt, database in build_dev_prompts(
-                small_dataset, PROMPT_CONFIGS[2], limit=4
-            ):
-                sequential = [
-                    model.generate(prompt, database, temperature=t, draw=d)
-                    for d, t in DRAWS
-                ]
-                assert model.generate_many(prompt, database, DRAWS) == sequential
+            for config in PROMPT_CONFIGS:
+                for prompt, database in build_dev_prompts(
+                    small_dataset, config, limit=4
+                ):
+                    self.assert_matches_oracle(
+                        model, prompt, database, style_divergence=0.4
+                    )
+
+    def test_parse_failure_matches_fallback(self, small_dataset):
+        model = SimulatedLanguageModel(get_profile("gpt-4"), seed=42)
+        (prompt, database), *_ = build_dev_prompts(small_dataset, PROMPT_CONFIGS[0])
+        prompt = Prompt(
+            text=prompt.text,
+            question="Colorless green ideas sleep furiously",
+            db_id=prompt.db_id,
+        )
+        candidates = model.generate_many(prompt, database, DRAWS)
+        assert all(c.parse_failed for c in candidates)
+        self.assert_matches_oracle(model, prompt, database)
+        with caches_disabled():
+            self.assert_matches_oracle(model, prompt, database)
+
+    def test_trace_counters_match_oracle(self, small_dataset):
+        model = SimulatedLanguageModel(get_profile("gpt-4"), seed=42)
+        (prompt, database), *_ = build_dev_prompts(small_dataset, PROMPT_CONFIGS[0])
+        model.generate(prompt, database)  # warm the intent memo
+        with tracing(Tracer()) as tracer:
+            with tracer.example("m", "production"):
+                with tracer.stage("decode"):
+                    for d, t in DRAWS:
+                        model.generate(prompt, database, temperature=t, draw=d)
+            with tracer.example("m", "oracle"):
+                with tracer.stage("decode"):
+                    reference_generate_many(model, prompt, database, DRAWS)
+        # drain() sorts by example id: "oracle" < "production".
+        oracle, production = (span.stages[0] for span in tracer.drain())
+        for counter in ("llm_calls", "output_tokens", "memo_hits"):
+            assert getattr(production, counter) == getattr(oracle, counter)
+        assert production.llm_calls == len(DRAWS)
 
     def test_empty_draw_list(self, small_dataset):
         model = SimulatedLanguageModel(get_profile("gpt-4"))
@@ -235,13 +366,18 @@ class TestGenerateManyEquivalence:
 
 
 class TestDecoderEquivalence:
-    """Every decoder yields identical candidates batched vs sequential."""
+    """Every decoder yields the same candidates from the bound sampler's
+    many-draw path as from a plain-function sampler over the oracle."""
 
     @pytest.fixture()
     def samplers(self, small_dataset):
         model = SimulatedLanguageModel(get_profile("t5-base"), seed=42)
         return [
-            (make_sampler(model, prompt, database), database)
+            (
+                make_sampler(model, prompt, database),
+                oracle_sampler(model, prompt, database),
+                database,
+            )
             for prompt, database in build_dev_prompts(
                 small_dataset, PROMPT_CONFIGS[0], limit=6
             )
@@ -253,18 +389,14 @@ class TestDecoderEquivalence:
         ids=["greedy", "beam", "sampling"],
     )
     def test_unconstrained_decoders(self, samplers, decoder, small_dataset):
-        for sampler, _ in samplers:
-            with batching_disabled():
-                sequential = decoder.decode(sampler)
-            assert decoder.decode(sampler) == sequential
+        for sampler, oracle, _ in samplers:
+            assert decoder.decode(sampler) == decoder.decode(oracle)
 
     def test_picard_decoder(self, samplers):
-        for sampler, database in samplers:
+        for sampler, oracle, database in samplers:
             checker = PicardChecker(database.schema)
             decoder = PicardDecoder(width=4, max_attempts=10)
-            with batching_disabled():
-                sequential = decoder.decode(sampler, checker)
-            assert decoder.decode(sampler, checker) == sequential
+            assert decoder.decode(sampler, checker) == decoder.decode(oracle, checker)
 
     def test_plain_function_samplers_still_work(self, small_dataset):
         model = SimulatedLanguageModel(get_profile("gpt-4"), seed=42)
@@ -313,35 +445,47 @@ class TestPicardFallbackTokens:
 
 
 class TestExecutionModeEquivalence:
-    """Sequential, parallel, and served runs agree under either switch."""
+    """Oracle, sequential, parallel, and served runs agree."""
 
     @pytest.fixture(scope="class")
     def sequential_reports(self, small_dataset):
         evaluator = Evaluator(small_dataset, measure_timing=False)
         return evaluator.evaluate_zoo([build_method(m) for m in METHODS])
 
-    def test_batching_off_matches_on(self, small_dataset, sequential_reports):
-        with batching_disabled():
-            evaluator = Evaluator(small_dataset, measure_timing=False)
-            reports = evaluator.evaluate_zoo([build_method(m) for m in METHODS])
-        for name in METHODS:
-            assert reports[name].records == sequential_reports[name].records
+    @pytest.fixture(scope="class")
+    def oracle_reports(self, small_dataset):
+        # The whole pipeline with every model call generated per draw by
+        # the oracle instead of the model's generation body.
+        def generate(self, prompt, database, **options):
+            return reference_generate(self, prompt, database, **options)
 
-    def test_economy_identical_across_switch(self, small_dataset, sequential_reports):
-        with batching_disabled():
+        def generate_many(self, prompt, database, draws, **options):
+            return reference_generate_many(self, prompt, database, draws, **options)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SimulatedLanguageModel, "generate", generate)
+            patch.setattr(SimulatedLanguageModel, "generate_many", generate_many)
             evaluator = Evaluator(small_dataset, measure_timing=False)
-            reports = evaluator.evaluate_zoo([build_method(m) for m in METHODS])
+            return evaluator.evaluate_zoo([build_method(m) for m in METHODS])
+
+    def test_oracle_generation_matches_records(
+        self, sequential_reports, oracle_reports
+    ):
         for name in METHODS:
-            batched = sequential_reports[name].records
-            unbatched = reports[name].records
-            assert sum(r.input_tokens for r in batched) == (
-                sum(r.input_tokens for r in unbatched)
+            assert oracle_reports[name].records == sequential_reports[name].records
+
+    def test_economy_identical_to_oracle(self, sequential_reports, oracle_reports):
+        for name in METHODS:
+            produced = sequential_reports[name].records
+            oracle = oracle_reports[name].records
+            assert sum(r.input_tokens for r in produced) == (
+                sum(r.input_tokens for r in oracle)
             )
-            assert sum(r.output_tokens for r in batched) == (
-                sum(r.output_tokens for r in unbatched)
+            assert sum(r.output_tokens for r in produced) == (
+                sum(r.output_tokens for r in oracle)
             )
-            assert sum(r.cost_usd for r in batched) == (
-                sum(r.cost_usd for r in unbatched)
+            assert sum(r.cost_usd for r in produced) == (
+                sum(r.cost_usd for r in oracle)
             )
 
     def test_thread_pool_matches_sequential(self, small_dataset, sequential_reports):
@@ -385,116 +529,3 @@ class TestExecutionModeEquivalence:
                 responses[response.record.example_id] = response.record
         for example_id, record in responses.items():
             assert record == expected[example_id]
-
-
-class TestDecodeScheduler:
-    class _StubSampler:
-        def generate_batch(self, draws):
-            return [f"cand-{d}-{t}" for d, t in draws]
-
-    def test_window_routes_and_counts(self):
-        scheduler = DecodeScheduler()
-        sampler = self._StubSampler()
-        with scheduler.window(batch_size=3) as window:
-            assert current_decode_window() is window
-            assert window.submit(sampler, [(0, 0.0), (1, 0.15)]) == [
-                "cand-0-0.0", "cand-1-0.15"
-            ]
-        assert current_decode_window() is None
-        assert scheduler.stats.windows == 1
-        assert scheduler.stats.submissions == 1
-        assert scheduler.stats.draws == 2
-        assert scheduler.stats.max_submission == 2
-        assert scheduler.stats_dict()["draws"] == 2
-
-    def test_window_noop_when_batching_disabled(self):
-        scheduler = DecodeScheduler()
-        with batching_disabled():
-            with scheduler.window(batch_size=2) as window:
-                assert window is None
-                assert current_decode_window() is None
-        assert scheduler.stats.windows == 0
-
-    def test_decode_window_nests_and_restores(self):
-        outer, inner = object(), object()
-        with decode_window(outer):
-            assert current_decode_window() is outer
-            with decode_window(inner):
-                assert current_decode_window() is inner
-            assert current_decode_window() is outer
-        assert current_decode_window() is None
-
-    def test_serving_engine_opens_windows(self, small_dataset):
-        method = "BRIDGE v2"
-        workload = build_workload(
-            small_dataset,
-            WorkloadSpec(
-                requests=12, methods=(method,), distinct_examples=6,
-                zipf_s=1.1, seed=3,
-            ),
-        )
-        served = build_method(method, seed=0)
-        served.prepare(small_dataset)
-        config = ServeConfig(methods=(method,), workers=2, measure_timing=False)
-        with tracing(Tracer()) as tracer:
-            with ServingEngine(
-                small_dataset, config, methods={method: served}
-            ) as engine:
-                for response in engine.serve(list(workload)):
-                    assert response.ok, response.error
-                stats = engine.stats
-        assert stats.decode_windows > 0
-        assert stats.decode_submissions > 0
-        assert stats.decode_draws >= stats.decode_submissions
-        assert stats.decode_max_submission >= 1
-        assert tracer.metrics.counter_total("serve_decode_windows") > 0
-        assert tracer.metrics.counter_total("serve_decode_draws") == (
-            stats.decode_draws
-        )
-
-    def test_serving_engine_windows_off_with_batching_disabled(self, small_dataset):
-        method = "BRIDGE v2"
-        served = build_method(method, seed=0)
-        served.prepare(small_dataset)
-        config = ServeConfig(methods=(method,), workers=2, measure_timing=False)
-        request = build_workload(
-            small_dataset,
-            WorkloadSpec(
-                requests=4, methods=(method,), distinct_examples=4,
-                zipf_s=1.1, seed=3,
-            ),
-        )
-        with batching_disabled():
-            with ServingEngine(
-                small_dataset, config, methods={method: served}
-            ) as engine:
-                for response in engine.serve(list(request)):
-                    assert response.ok, response.error
-                assert engine.stats.decode_windows == 0
-
-
-class TestBatchCountersInSpans:
-    def test_decode_stage_carries_batch_counters(self, small_dataset):
-        method = build_method("BRIDGE v2", seed=0)
-        method.prepare(small_dataset)
-        evaluator = Evaluator(small_dataset, measure_timing=False)
-        example = small_dataset.dev_examples[0]
-        with tracing(Tracer()) as tracer:
-            evaluator.evaluate_example(method, example)
-        (span,) = tracer.drain()
-        decode = next(s for s in span.stages if s.stage == "decode")
-        assert decode.llm_batched_calls >= 1
-        assert decode.llm_batch_draws >= decode.llm_batched_calls
-        assert decode.llm_calls == decode.llm_batch_draws
-
-    def test_no_batch_counters_when_disabled(self, small_dataset):
-        method = build_method("BRIDGE v2", seed=0)
-        method.prepare(small_dataset)
-        evaluator = Evaluator(small_dataset, measure_timing=False)
-        example = small_dataset.dev_examples[0]
-        with batching_disabled():
-            with tracing(Tracer()) as tracer:
-                evaluator.evaluate_example(method, example)
-        (span,) = tracer.drain()
-        assert sum(s.llm_batched_calls for s in span.stages) == 0
-        assert sum(s.llm_batch_draws for s in span.stages) == 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -22,7 +23,6 @@ from repro.core.evaluator import Evaluator
 from repro.datagen.benchmark import build_benchmark
 from repro.dbengine.pool import pooling_disabled
 from repro.errors import GatewayError
-from repro.llm.engine import batching_disabled
 from repro.serve import (
     GatewayHTTPClient,
     GatewayHTTPServer,
@@ -345,7 +345,7 @@ class TestSwitchPropagation:
     """Module-global switches cross the spawn boundary explicitly."""
 
     def test_disabled_switches_reach_workers(self):
-        with pooling_disabled(), caches_disabled(), batching_disabled():
+        with pooling_disabled(), caches_disabled():
             with ShardedGateway(
                 small_benchmark_config(), gateway_serve_config(), shards=1
             ) as gateway:
@@ -354,7 +354,6 @@ class TestSwitchPropagation:
         (entry,) = health["shards"]
         assert entry["pooling"] is False
         assert entry["caches"] is False
-        assert entry["batching"] is False
 
     def test_default_switches_reach_workers(self, gateway):
         health = gateway.healthz()
@@ -362,7 +361,6 @@ class TestSwitchPropagation:
         for entry in health["shards"]:
             assert entry["pooling"] is True
             assert entry["caches"] is True
-            assert entry["batching"] is True
 
 
 class TestMutationPropagation:
@@ -471,9 +469,40 @@ class TestGatewayHTTP:
                     headers={"Content-Type": "application/json"},
                 )
                 assert conn.getresponse().status == 400
+                # Valid JSON that is not an object is a bad body too.
+                for body in (b"[]", b"null", b"5", b'"x"'):
+                    conn = http.client.HTTPConnection(
+                        server.host, server.port, timeout=10
+                    )
+                    conn.request(
+                        "POST", "/query", body=body,
+                        headers={"Content-Type": "application/json"},
+                    )
+                    response = conn.getresponse()
+                    assert response.status == 400, body
+                    assert b"bad /query body" in response.read(), body
             finally:
                 conn.close()
             # The server survives bad input and keeps serving.
+            with GatewayHTTPClient(server.host, server.port) as client:
+                assert client.healthz()["status"] == "ok"
+
+    def test_bad_content_length_gets_400(self, gateway):
+        with GatewayHTTPServer(gateway) as server:
+            for length in (b"abc", b"-5"):
+                with socket.create_connection(
+                    (server.host, server.port), timeout=10
+                ) as sock:
+                    sock.sendall(
+                        b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                        b"Content-Length: " + length + b"\r\n\r\n{}"
+                    )
+                    reply = b""
+                    while chunk := sock.recv(65536):
+                        reply += chunk
+                head, _, body = reply.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 "), (length, reply)
+                assert json.loads(body) == {"error": "bad content-length"}
             with GatewayHTTPClient(server.host, server.port) as client:
                 assert client.healthz()["status"] == "ok"
 

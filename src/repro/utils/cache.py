@@ -216,13 +216,25 @@ class TTLCache:
 
 # (id(host), cache name) -> (weakref to host, cache).  The weakref both
 # detects id reuse (a new object at a recycled address must not inherit a
-# dead object's memo) and drives eviction via weakref.finalize.
+# dead object's memo) and, through weakref.finalize, queues the entry for
+# eviction.
 _OBJECT_CACHES: dict[tuple[int, str], tuple[weakref.ref, LRUCache]] = {}
 _OBJECT_CACHES_LOCK = threading.Lock()
+# Keys of collected hosts, drained under the lock by the next registry
+# call.  The finalizer must not take the lock itself: a garbage
+# collection can run at any allocation, including one made while this
+# same thread holds the lock, and a blocking acquire there never returns.
+_DEAD_KEYS: list[tuple[int, str]] = []
 
 
-def _evict_if_dead(key: tuple[int, str]) -> None:
-    with _OBJECT_CACHES_LOCK:
+def _queue_dead(key: tuple[int, str]) -> None:
+    _DEAD_KEYS.append(key)
+
+
+def _evict_dead() -> None:
+    """Drop queued entries whose host is gone (caller holds the lock)."""
+    while _DEAD_KEYS:
+        key = _DEAD_KEYS.pop()
         entry = _OBJECT_CACHES.get(key)
         if entry is not None and entry[0]() is None:
             del _OBJECT_CACHES[key]
@@ -232,16 +244,18 @@ def per_object_cache(host: object, name: str, maxsize: int = 1024) -> LRUCache:
     """The shared :class:`LRUCache` named ``name`` for the live ``host``.
 
     Every caller holding the same object gets the same cache; the cache
-    is dropped when the host is garbage-collected.
+    leaves the registry at the first registry call after the host is
+    garbage-collected.
     """
     key = (id(host), name)
     with _OBJECT_CACHES_LOCK:
+        _evict_dead()
         entry = _OBJECT_CACHES.get(key)
         if entry is not None and entry[0]() is host:
             return entry[1]
         cache = LRUCache(maxsize=maxsize)
         _OBJECT_CACHES[key] = (weakref.ref(host), cache)
-    weakref.finalize(host, _evict_if_dead, key)
+    weakref.finalize(host, _queue_dead, key)
     return cache
 
 
@@ -256,6 +270,7 @@ def lru_cache_stats() -> dict[str, dict[str, int]]:
     """
     totals: dict[str, dict[str, int]] = {}
     with _OBJECT_CACHES_LOCK:
+        _evict_dead()
         entries = list(_OBJECT_CACHES.items())
     for (_host_id, name), (ref, cache) in entries:
         if ref() is None:

@@ -9,7 +9,12 @@ and AAS-batch evaluation must produce bit-identical records.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +29,7 @@ from repro.methods.zoo import build_method
 from repro.modules.fewshot import MANUAL_QUALITY, select_examples
 from repro.modules.retrieval import FewShotIndex, clear_index_registry, index_for
 from repro.sqlkit.picard import PicardChecker
+from repro.utils import cache as cache_module
 from repro.utils.cache import (
     LogicalClock,
     LRUCache,
@@ -60,6 +66,50 @@ class TestLRUCache:
         assert cache_a1 is cache_a2
         assert cache_a1 is not cache_b
         assert per_object_cache(host_a, "other") is not cache_a1
+
+    def test_collection_inside_registry_lock_does_not_deadlock(self):
+        # A garbage collection may run at any allocation, including one
+        # made while per_object_cache holds the registry lock.  Freeing a
+        # dead host there runs its finalizer on the same thread, which
+        # must not block on that lock.  Run in a child process so that a
+        # deadlock fails this test instead of stalling the suite.
+        script = textwrap.dedent(
+            """
+            import gc
+            from repro.utils import cache
+
+            class Host:
+                pass
+
+            class CollectingLRUCache(cache.LRUCache):
+                def __init__(self, *args, **kwargs):
+                    gc.collect()  # an automatic collection at this allocation
+                    super().__init__(*args, **kwargs)
+
+            dead = Host()
+            dead.cycle = dead  # only the cyclic collector can free it
+            cache.per_object_cache(dead, "dead")
+            dead_key = (id(dead), "dead")
+            del dead
+            cache.LRUCache = CollectingLRUCache
+            live = Host()
+            cache.per_object_cache(live, "live")
+            # The dead host's entry leaves the registry at the next call.
+            cache.per_object_cache(live, "live")
+            assert dead_key not in cache._OBJECT_CACHES
+            print("ok")
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cache_module.__file__).parents[2]), env.get("PYTHONPATH", "")]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"
 
     def test_caches_disabled_scopes_and_restores(self):
         assert caches_enabled()

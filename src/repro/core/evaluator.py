@@ -3,8 +3,12 @@
 The evaluator executes gold and predicted SQL against the live SQLite
 databases (caching gold executions), computes EX with Spider's
 order-sensitivity rule, EM with Spider's component comparison, and times
-executions for VES.  Every record can be persisted to the SQLite-backed
-:class:`~repro.core.logs.ExperimentLogStore` for later analysis.
+executions for VES.  Each gold query is parsed once: its features and
+its EM form (:func:`repro.sqlkit.exact_match.em_form`) are cached per
+gold text, so scoring parses only the prediction, and not even that when
+it is the gold text verbatim.  Every record can be persisted to the
+SQLite-backed :class:`~repro.core.logs.ExperimentLogStore` for later
+analysis.
 
 Hot-path memo layers (all bit-identical on vs off, see
 ``repro.utils.cache``): prepared methods select few-shot examples
@@ -35,6 +39,8 @@ evaluator per worker.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.core.logs import ExperimentLogStore
 from repro.core.metrics import EvaluationRecord, MethodReport
 from repro.core.taxonomy import classify_failure
@@ -46,6 +52,7 @@ from repro.dbengine.executor import (
     results_match,
 )
 from repro.dbengine.timing import timed_execute
+from repro.errors import SQLError
 from repro.methods.base import NL2SQLMethod
 from repro.obs.registry import (
     MetricsRegistry,
@@ -56,12 +63,25 @@ from repro.obs.registry import (
 )
 from repro.obs.trace import ExampleSpan, get_tracer
 from repro.utils.cache import lru_cache_stats
-from repro.sqlkit.exact_match import exact_match
+from repro.sqlkit.exact_match import EMForm, em_form
 from repro.sqlkit.features import SQLFeatures, extract_features
+from repro.sqlkit.parser import parse_select
 
 # (db_id, data_version, gold_sql) -> (result, seconds); shared between the
 # sequential evaluator and the parallel engine's one-pass gold precompute.
 GoldCache = dict[str, tuple[ExecutionResult, float]]
+
+
+class GoldForms(NamedTuple):
+    """What scoring needs of one gold query, derived from a single parse.
+
+    ``em_form`` holds the canonicalization error instead of a form when
+    the gold has none; scoring raises it exactly where ``exact_match``
+    would, i.e. for every prediction that parses.
+    """
+
+    features: SQLFeatures
+    em_form: EMForm | SQLError
 
 
 def gold_key(example: Example, data_version: int = 0, backend: str = "sqlite") -> str:
@@ -88,7 +108,7 @@ class Evaluator:
         timing_repeats: int = 1,
         measure_timing: bool = True,
         gold_cache: GoldCache | None = None,
-        feature_cache: dict[str, SQLFeatures] | None = None,
+        feature_cache: dict[str, GoldForms] | None = None,
     ) -> None:
         self.dataset = dataset
         self.log_store = log_store
@@ -97,7 +117,7 @@ class Evaluator:
         # Caches may be injected so several evaluators (e.g. the parallel
         # engine's local path and its workers) share one set of results.
         self._gold_cache: GoldCache = gold_cache if gold_cache is not None else {}
-        self._feature_cache: dict[str, SQLFeatures] = (
+        self._feature_cache: dict[str, GoldForms] = (
             feature_cache if feature_cache is not None else {}
         )
         # Spans drained from the ambient tracer, one batch per
@@ -135,10 +155,17 @@ class Evaluator:
                 fresh += 1
         return fresh
 
-    def _features(self, gold_sql: str) -> SQLFeatures:
-        if gold_sql not in self._feature_cache:
-            self._feature_cache[gold_sql] = extract_features(gold_sql)
-        return self._feature_cache[gold_sql]
+    def _gold_forms(self, gold_sql: str) -> GoldForms:
+        forms = self._feature_cache.get(gold_sql)
+        if forms is None:
+            statement = parse_select(gold_sql)
+            try:
+                gold_form: EMForm | SQLError = em_form(statement)
+            except SQLError as error:
+                gold_form = error
+            forms = GoldForms(extract_features(statement), gold_form)
+            self._feature_cache[gold_sql] = forms
+        return forms
 
     def evaluate_example(self, method: NL2SQLMethod, example: Example) -> EvaluationRecord:
         """Run ``method`` on one example and score it."""
@@ -165,11 +192,19 @@ class Evaluator:
                     predicted_result = execute_sql_cached(database, prediction.sql)
                     predicted_seconds = 1e-4
             with trace.stage("score"):
-                features = self._features(example.gold_sql)
+                features, gold_form = self._gold_forms(example.gold_sql)
                 ex = results_match(
                     predicted_result, gold_result, order_matters=features.has_order_by
                 )
-                em = exact_match(prediction.sql, example.gold_sql)
+                # exact_match(prediction.sql, gold_sql) against the cached
+                # gold form; verbatim gold text is not parsed again.
+                if prediction.sql == example.gold_sql:
+                    form = gold_form
+                else:
+                    form = em_form(prediction.sql)
+                if form is not None and isinstance(gold_form, SQLError):
+                    raise gold_form
+                em = form is not None and form == gold_form
             if trace.enabled:
                 span.input_tokens = prediction.input_tokens
                 span.output_tokens = prediction.output_tokens

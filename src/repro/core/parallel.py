@@ -59,7 +59,7 @@ import os
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.core.evaluator import Evaluator, GoldCache, gold_key
+from repro.core.evaluator import Evaluator, GoldCache, GoldForms, gold_key
 from repro.core.logs import ExperimentLogStore
 from repro.core.metrics import EvaluationRecord, MethodReport
 from repro.core.taxonomy import classify_failure
@@ -76,7 +76,6 @@ from repro.obs.registry import (
 from repro.dbengine.pool import pooling_enabled, set_pooling_enabled
 from repro.utils.cache import caches_enabled, lru_cache_stats, set_caches_enabled
 from repro.obs.trace import ExampleSpan, Tracer, get_tracer, set_tracer
-from repro.sqlkit.features import SQLFeatures
 from repro.utils.rng import stable_hash
 
 # Below this many pending examples a process pool is not worth its
@@ -250,7 +249,7 @@ class ParallelEvaluator:
         # Spans drained from the ambient tracer (workers included), one
         # batch per evaluate_method call; empty while tracing is disabled.
         self.trace_spans: list[ExampleSpan] = []
-        self._feature_cache: dict[str, SQLFeatures] = {}
+        self._feature_cache: dict[str, GoldForms] = {}
         self._gold_cache: GoldCache = {}
         # The local evaluator shares both caches with this engine; it owns
         # the gold precompute and the small-run / non-picklable fallback.

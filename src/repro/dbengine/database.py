@@ -11,6 +11,7 @@ default; ``duckdb`` when the optional package is installed).
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
@@ -20,6 +21,8 @@ from repro.dbengine.pool import DEFAULT_POOL_SIZE, ReadConnectionPool
 from repro.errors import ExecutionError, SchemaError
 from repro.schema.ddl import render_schema_ddl
 from repro.schema.model import ColumnType, DatabaseSchema
+
+_SERIALS = itertools.count()
 
 
 class Database:
@@ -33,6 +36,9 @@ class Database:
         backend: str | ExecutionBackend = "sqlite",
     ) -> None:
         self.schema = schema
+        # Process-unique and, unlike ``id()``, never reused: process-global
+        # memos key on it, because two live datasets may share a db_id.
+        self.serial = next(_SERIALS)
         self._path = str(path) if path is not None else None
         if isinstance(backend, str):
             backend = create_backend(backend, pool_size=pool_size)

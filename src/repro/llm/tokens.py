@@ -10,16 +10,11 @@ from __future__ import annotations
 
 import re
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
+_WORD_RE = re.compile(r"[A-Za-z0-9_]+")
+_SYMBOL_RE = re.compile(r"[^\sA-Za-z0-9_]")
 
 
 def count_tokens(text: str) -> int:
     """Estimate the number of BPE tokens in ``text``."""
-    total = 0
-    for match in _TOKEN_RE.finditer(text):
-        piece = match.group(0)
-        if piece.isalnum() or "_" in piece:
-            total += max(1, (len(piece) + 3) // 4)
-        else:
-            total += 1
-    return total
+    words = sum((len(word) + 3) // 4 for word in _WORD_RE.findall(text))
+    return words + len(_SYMBOL_RE.findall(text))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 
 from repro.dbengine.database import Database
-from repro.utils.text import normalized_similarity
+from repro.utils.text import length_bound, normalized_similarity
 
 
 def _question_value_spans(question: str) -> list[str]:
@@ -20,16 +20,6 @@ def _question_value_spans(question: str) -> list[str]:
     spans = re.findall(r"'([^']*)'", question)
     spans.extend(re.findall(r"\b\d+(?:\.\d+)?\b", question))
     return [span for span in spans if span]
-
-
-def _length_bound(len_a: int, len_b: int) -> float:
-    """Upper bound on ``normalized_similarity`` from the lowercased lengths.
-
-    The edit distance is at least the length difference, so a pair whose
-    bound is below the fuzzy threshold cannot match and is skipped without
-    computing the distance.
-    """
-    return 1.0 - abs(len_a - len_b) / max(len_a, len_b)
 
 
 def match_db_content(
@@ -64,7 +54,7 @@ def match_db_content(
                     hits.append(text)
                 elif (
                     fuzzy
-                    and _length_bound(len(text_lower), len(span_lower)) >= fuzzy_threshold
+                    and length_bound(len(text_lower), len(span_lower)) >= fuzzy_threshold
                     and normalized_similarity(text, span) >= fuzzy_threshold
                 ):
                     hits.append(text)

@@ -151,7 +151,7 @@ def build_prompt(
         schema_segment, schema_hit = segments.segment(
             "schema",
             (
-                schema.db_id,
+                database.serial,
                 database.data_version,
                 schema_tables,
                 _value_comments_key(value_comments),

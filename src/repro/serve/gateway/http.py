@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import math
 import threading
 
 from repro.errors import GatewayError
@@ -201,6 +202,7 @@ class GatewayHTTPServer:
                 db_id = request["db_id"]
                 question = request["question"]
                 deadline_s = request.get("deadline_s")
+                _check_query_types(name, db_id, question, deadline_s)
             except (ValueError, KeyError, UnicodeDecodeError) as exc:
                 return (
                     400,
@@ -232,6 +234,25 @@ class GatewayHTTPServer:
             _json_bytes({"error": f"no route for {method} {path}"}),
             "application/json",
         )
+
+
+def _check_query_types(
+    name: object, db_id: object, question: object, deadline_s: object
+) -> None:
+    """Reject ``/query`` fields of the wrong type before they reach a shard."""
+    for field, value in (("method", name), ("db_id", db_id), ("question", question)):
+        if not isinstance(value, str):
+            raise ValueError(f"{field} must be a string")
+    if deadline_s is None:
+        return
+    if isinstance(deadline_s, (int, float)) and not isinstance(deadline_s, bool):
+        try:
+            # JSON allows NaN, Infinity and integers too large for a float.
+            if math.isfinite(float(deadline_s)) and deadline_s >= 0:
+                return
+        except OverflowError:
+            pass
+    raise ValueError("deadline_s must be null or a finite non-negative number")
 
 
 class GatewayHTTPClient:

@@ -26,7 +26,7 @@ from repro.sqlkit.parser import parse_select, parse_sql
 from repro.sqlkit.printer import normalize_sql, to_sql
 from repro.sqlkit.features import SQLFeatures, extract_features
 from repro.sqlkit.hardness import Hardness, classify_hardness
-from repro.sqlkit.exact_match import exact_match
+from repro.sqlkit.exact_match import em_form, exact_match
 from repro.sqlkit.natsql import NatSQLQuery, from_natsql, to_natsql
 from repro.sqlkit.picard import PicardChecker, is_valid_sql
 from repro.sqlkit.differential import (
@@ -67,6 +67,7 @@ __all__ = [
     "extract_features",
     "Hardness",
     "classify_hardness",
+    "em_form",
     "exact_match",
     "NatSQLQuery",
     "from_natsql",

@@ -56,6 +56,10 @@ class _Canon:
     nested: tuple["_Canon", ...]
 
 
+# The comparable form of one query under exact match (see ``em_form``).
+EMForm = _Canon
+
+
 def _alias_map(
     statement: SelectStatement, outer: dict[str, str] | None = None
 ) -> dict[str, str]:
@@ -232,6 +236,21 @@ def _canonicalize(
     )
 
 
+def em_form(sql: str | SelectStatement, compare_values: bool = False) -> EMForm | None:
+    """The canonical form :func:`exact_match` compares, or None if unparseable.
+
+    Two queries exact-match iff both forms exist and are equal, so a
+    caller scoring many predictions against one gold query computes the
+    gold's form once.  Only a parse error yields None; a canonicalization
+    error propagates.
+    """
+    try:
+        statement = sql if isinstance(sql, SelectStatement) else parse_select(sql)
+    except SQLError:
+        return None
+    return _canonicalize(statement, compare_values)
+
+
 def exact_match(
     predicted: str | SelectStatement,
     gold: str | SelectStatement,
@@ -241,9 +260,5 @@ def exact_match(
 
     Unparseable predictions simply do not match.
     """
-    try:
-        pred_stmt = predicted if isinstance(predicted, SelectStatement) else parse_select(predicted)
-        gold_stmt = gold if isinstance(gold, SelectStatement) else parse_select(gold)
-    except SQLError:
-        return False
-    return _canonicalize(pred_stmt, compare_values) == _canonicalize(gold_stmt, compare_values)
+    form = em_form(predicted, compare_values)
+    return form is not None and form == em_form(gold, compare_values)

@@ -181,6 +181,19 @@ def normalized_similarity(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / max(len(a), len(b))
 
 
+def length_bound(len_a: int, len_b: int) -> float:
+    """Upper bound on ``normalized_similarity`` from the lowercased lengths.
+
+    The edit distance is at least the length difference, and IEEE
+    division and subtraction are monotone, so the bound is never below
+    the similarity as computed.  A pair whose bound misses a threshold can
+    be skipped without computing the distance.
+    """
+    if not len_a and not len_b:
+        return 1.0
+    return 1.0 - abs(len_a - len_b) / max(len_a, len_b)
+
+
 def jaccard(a: set[str] | list[str], b: set[str] | list[str]) -> float:
     """Jaccard similarity of two token collections."""
     set_a, set_b = set(a), set(b)

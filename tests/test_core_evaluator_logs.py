@@ -1,10 +1,20 @@
 """Tests for the evaluator and the SQLite experiment log store."""
 
+import dataclasses
+import importlib
+import itertools
+
 import pytest
 
 from repro.core.evaluator import Evaluator
 from repro.core.logs import ExperimentLogStore
+from repro.errors import SQLError
+from repro.methods.base import MethodGroup, NL2SQLMethod, Prediction
 from repro.methods.zoo import build_method
+from repro.sqlkit.exact_match import exact_match
+
+# The module, not the same-named function ``repro.sqlkit`` re-exports.
+exact_match_module = importlib.import_module("repro.sqlkit.exact_match")
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +71,85 @@ class TestEvaluator:
             examples=small_dataset.dev_examples[:3],
         )
         assert set(reports) == {"C3SQL", "DAILSQL"}
+
+
+class _FixedSQL(NL2SQLMethod):
+    name = "fixed"
+    group = MethodGroup.PLM
+
+    def __init__(self, sql: str) -> None:
+        self.sql = sql
+
+    def predict(self, example, database):
+        return Prediction(sql=self.sql)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except SQLError as error:
+        return type(error)
+
+
+class TestScoringEM:
+    """The score stage compares against a cached gold EM form; its verdict
+    must be ``exact_match(prediction, gold)``, errors included."""
+
+    def test_em_equals_exact_match(self, small_dataset, monkeypatch):
+        example = small_dataset.dev_examples[0]
+        table = small_dataset.database(example.db_id).schema.tables[0]
+        t, a, b = table.name, table.columns[0].name, table.columns[-1].name
+        pool = [
+            example.gold_sql,
+            f"SELECT {a} FROM {t}",
+            f"select {a.upper()} from {t}",
+            f"SELECT T1.{a} FROM {t} AS T1",
+            f"SELECT {a} FROM {t} WHERE {b} = 1",
+            f"SELECT {a} FROM {t} WHERE {b} = 2",
+            f"SELECT {a}, {b} FROM {t}",
+            f"SELECT {b}, {a} FROM {t}",
+            f"SELECT {a} FROM {t} WHERE {b} = 'uncanonical'",
+            "SELEC nothing FROM",
+        ]
+        canonicalize = exact_match_module._canonicalize
+
+        def failing(statement, *args, **kwargs):
+            # A query whose canonicalization raises, for both code paths.
+            if "uncanonical" in repr(statement):
+                raise SQLError("cannot canonicalize (test)")
+            return canonicalize(statement, *args, **kwargs)
+
+        monkeypatch.setattr(exact_match_module, "_canonicalize", failing)
+        evaluator = Evaluator(small_dataset, measure_timing=False)
+        for gold, predicted in itertools.product(pool, pool):
+            scored = dataclasses.replace(example, gold_sql=gold)
+            got = _outcome(
+                lambda: evaluator.evaluate_example(_FixedSQL(predicted), scored).em
+            )
+            if gold == "SELEC nothing FROM":
+                # An unparseable gold has no features to score with.
+                assert isinstance(got, type) and issubclass(got, SQLError)
+            else:
+                assert got == _outcome(lambda: exact_match(predicted, gold)), (
+                    predicted, gold,
+                )
+        # Values are ignored, as in exact_match's default.
+        assert exact_match(pool[4], pool[5]) and not exact_match(
+            pool[4], pool[5], compare_values=True
+        )
+
+    def test_verbatim_gold_is_not_parsed_again(self, small_dataset, monkeypatch):
+        evaluator = Evaluator(small_dataset, measure_timing=False)
+        example = small_dataset.dev_examples[0]
+        assert evaluator.evaluate_example(_FixedSQL(example.gold_sql), example).em
+        calls = []
+        parse_select = exact_match_module.parse_select
+        monkeypatch.setattr(
+            exact_match_module, "parse_select",
+            lambda sql: calls.append(sql) or parse_select(sql),
+        )
+        assert evaluator.evaluate_example(_FixedSQL(example.gold_sql), example).em
+        assert calls == []
 
 
 class TestLogStore:

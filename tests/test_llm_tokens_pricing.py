@@ -1,13 +1,38 @@
 """Tests for token counting and the price sheet."""
 
+import re
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.llm.pricing import PRICE_SHEET, UsageRecord, price_ratio, prompt_cost
 from repro.llm.tokens import count_tokens
 from repro.errors import ModelError
 
 
+_PIECE_RE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
+
+
+def _count_tokens_per_piece(text: str) -> int:
+    """The per-match reference ``count_tokens`` must agree with."""
+    total = 0
+    for match in _PIECE_RE.finditer(text):
+        piece = match.group(0)
+        if piece.isalnum() or "_" in piece:
+            total += max(1, (len(piece) + 3) // 4)
+        else:
+            total += 1
+    return total
+
+
 class TestTokenCounting:
+    @settings(max_examples=300)
+    @given(st.text())
+    @example("SELECT T1.name, count(*) FROM airports AS T1 WHERE x >= 'İß'  -- é\n")
+    @example("___ a_b ٣٤ 𝟘 ½ \t\u00a0 _")
+    def test_matches_per_piece_reference(self, text):
+        assert count_tokens(text) == _count_tokens_per_piece(text)
+
     def test_empty(self):
         assert count_tokens("") == 0
 

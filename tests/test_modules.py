@@ -21,7 +21,8 @@ from repro.modules.post_processing import (
 from repro.modules.prompts import build_prompt
 from repro.modules.schema_linking import link_schema
 from repro.schema.model import Column, ColumnType, DatabaseSchema, Table
-from repro.utils.text import normalized_similarity
+from repro.utils.cache import caches_disabled
+from repro.utils.text import length_bound, normalized_similarity
 
 
 class TestPipelineConfig:
@@ -177,7 +178,7 @@ class TestDbContentPrefilter:
         fast = match_db_content(strategy, near_db, self.QUESTION, max_values_per_column=10_000)
         filtered = len(compared)
         # The reference: no pair is ever skipped by its lengths.
-        monkeypatch.setattr(db_content, "_length_bound", lambda len_a, len_b: 1.0)
+        monkeypatch.setattr(db_content, "length_bound", lambda len_a, len_b: 1.0)
         reference = match_db_content(
             strategy, near_db, self.QUESTION, max_values_per_column=10_000
         )
@@ -193,9 +194,9 @@ class TestDbContentPrefilter:
             ]
             assert fuzzy_only
 
-    @given(st.text(max_size=30), st.text(min_size=1, max_size=30))
+    @given(st.text(max_size=30), st.text(max_size=30))
     def test_length_bound_is_an_upper_bound(self, a, b):
-        bound = db_content._length_bound(len(a.lower()), len(b.lower()))
+        bound = length_bound(len(a.lower()), len(b.lower()))
         assert normalized_similarity(a, b) <= bound
 
 
@@ -267,6 +268,33 @@ class TestBuildPrompt:
             toy_db, "q of airports",
         )
         assert count_tokens(fat.text) - count_tokens(lean.text) > 3000
+
+    def test_databases_sharing_a_db_id_get_their_own_schema(self, toy_schema):
+        # Datasets built from different seeds reuse db_ids; the process-wide
+        # prompt cache must not hand one database's DDL to the other.
+        wider = DatabaseSchema(
+            db_id=toy_schema.db_id,
+            tables=[
+                Table(
+                    name="airports",
+                    columns=[*toy_schema.tables[0].columns, Column("runway_count")],
+                ),
+                toy_schema.tables[1],
+            ],
+            foreign_keys=toy_schema.foreign_keys,
+        )
+        config = PipelineConfig(name="x", backbone="gpt-4")
+        question = "How many airports are there?"
+        first, second = Database(toy_schema), Database(wider)
+        try:
+            assert "runway_count" not in build_prompt(config, first, question).text
+            prompt = build_prompt(config, second, question)
+            assert "runway_count" in prompt.text
+            with caches_disabled():
+                assert prompt.text == build_prompt(config, second, question).text
+        finally:
+            first.close()
+            second.close()
 
 
 class TestPostProcessing:

@@ -5,10 +5,13 @@ import gc
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+from hypothesis import given, settings, strategies as st
+
 from repro.datagen.benchmark import build_benchmark
 from repro.llm.model import _pruned_schema
 from repro.nlu import linker as linker_module
 from repro.nlu.linker import SchemaLinker, phrase_similarity
+from repro.schema.model import Column, DatabaseSchema, Table
 from tests.conftest import small_benchmark_config
 
 
@@ -175,3 +178,121 @@ class TestTokenIndex:
         finally:
             sys.setswitchinterval(interval)
         assert all(result == expected for result in results)
+
+
+def _ranked_head(ranked, threshold):
+    """The reference for ``link_*``: the full ranking's head, thresholded."""
+    return ranked[0] if ranked and ranked[0].score >= threshold else None
+
+
+def _assert_same_link(linked, expected):
+    if expected is None:
+        assert linked is None
+        return
+    assert linked is not None
+    assert linked.table is expected.table
+    assert linked.score == expected.score
+    if hasattr(expected, "column"):
+        assert linked.column is expected.column
+
+
+def _check_links(linker, phrase, thresholds, tables_filters):
+    ranked = linker.rank_tables(phrase)
+    for threshold in thresholds:
+        _assert_same_link(
+            linker.link_table(phrase, threshold=threshold), _ranked_head(ranked, threshold)
+        )
+    for tables in tables_filters:
+        ranked = linker.rank_columns(phrase, tables)
+        for threshold in thresholds:
+            _assert_same_link(
+                linker.link_column(phrase, tables=tables, threshold=threshold),
+                _ranked_head(ranked, threshold),
+            )
+
+
+def _tie_schema() -> DatabaseSchema:
+    """Tables and columns whose display phrases, and so scores, coincide."""
+    columns = [
+        Column("name"),
+        Column("label", natural_name="name"),
+        Column("given_name"),
+    ]
+    return DatabaseSchema(
+        db_id="ties",
+        tables=[
+            Table("b_roster", list(columns), natural_name="roster"),
+            Table("a_roster", list(columns), natural_name="roster"),
+            Table("dup_b", [Column("name")], natural_name="dup"),
+            Table("dup_a", [Column("name")], natural_name="dup"),
+            Table("rosters", [Column("roster_name")]),
+        ],
+    )
+
+
+THRESHOLDS = (0.0, 0.3, 0.45, 0.5, 0.8, 1.0, 1.01)
+TIE_PHRASES = ("roster", "name", "roster name", "dup", "dup name", "given", "")
+
+
+class TestBoundedBestMatch:
+    """``link_table``/``link_column`` prune edit distances by an exact bound;
+    the result must equal the head of the full ranking, thresholded."""
+
+    def test_small_benchmark_schemas(self, small_dataset):
+        for database in small_dataset.databases.values():
+            schema = database.schema
+            linker = SchemaLinker(schema)
+            first, last = schema.tables[0].name, schema.tables[-1].name
+            phrases = PHRASES + ("İ", "İstanbul airports", "name", "id") + tuple(
+                table.display_name for table in schema.tables
+            ) + tuple(
+                column.display_name for table in schema.tables for column in table.columns
+            )
+            filters = (None, [], [first.upper()], [first, last], ["missing"])
+            for phrase in phrases:
+                _check_links(linker, phrase, THRESHOLDS, filters)
+
+    def test_ties_break_like_the_ranking(self):
+        linker = SchemaLinker(_tie_schema())
+        filters = (None, ["b_roster", "dup_b"], ["DUP_A", "dup_b"])
+        for phrase in TIE_PHRASES:
+            _check_links(linker, phrase, THRESHOLDS, filters)
+        # The tie-break is by name, not by schema order.
+        assert linker.link_table("roster").table.name == "a_roster"
+        linked = linker.link_column("name", tables=["a_roster", "b_roster"])
+        assert (linked.table.name, linked.column.name) == ("a_roster", "label")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        words=st.lists(
+            st.sampled_from(
+                ["roster", "rosters", "name", "names", "given", "dup", "label",
+                 "İ", "airport", "x", "the", "_", "Given_Name", "rosterName"]
+            ),
+            max_size=4,
+        ),
+        threshold=st.floats(min_value=0.0, max_value=1.05),
+        tables=st.one_of(
+            st.none(),
+            st.lists(st.sampled_from(["a_roster", "B_ROSTER", "dup_b", "rosters", "nope"]),
+                     max_size=3),
+        ),
+    )
+    def test_random_phrases_on_tie_schema(self, words, threshold, tables):
+        _check_links(SchemaLinker(_tie_schema()), " ".join(words), [threshold], [tables])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), threshold=st.floats(min_value=0.0, max_value=1.05))
+    def test_random_phrases_on_benchmark_schemas(self, small_dataset, data, threshold):
+        databases = sorted(small_dataset.databases)
+        schema = small_dataset.databases[data.draw(st.sampled_from(databases))].schema
+        vocabulary = sorted({
+            word
+            for table in schema.tables
+            for phrase in [table.display_name] + [c.display_name for c in table.columns]
+            for word in phrase.split()
+        } | {"İ", "of", "s"})
+        words = data.draw(st.lists(st.sampled_from(vocabulary), max_size=5))
+        names = [table.name for table in schema.tables]
+        tables = data.draw(st.one_of(st.none(), st.lists(st.sampled_from(names), max_size=2)))
+        _check_links(SchemaLinker(schema), " ".join(words), [threshold], [tables])

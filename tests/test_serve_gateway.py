@@ -430,6 +430,9 @@ class TestGatewayHTTP:
         self, gateway, workload, offline_records
     ):
         request = workload[0]
+        # Warm the key first: the envelope carries a ``cached`` flag, so both
+        # answers must come from the cache whatever ran before this test.
+        gateway.serve([request])
         with GatewayHTTPServer(gateway) as server:
             with GatewayHTTPClient(server.host, server.port) as client:
                 payload = client.query(request.method, request.db_id, request.question)
@@ -455,7 +458,33 @@ class TestGatewayHTTP:
         assert "# TYPE serve_requests counter" in text
         assert "# TYPE gateway_requests counter" in text
 
-    def test_bad_requests_get_http_errors_not_crashes(self, gateway):
+    def test_bad_requests_get_http_errors_not_crashes(self, gateway, workload):
+        valid = {
+            "method": workload[0].method,
+            "db_id": workload[0].db_id,
+            "question": workload[0].question,
+        }
+        # Fields of the wrong type are a bad body, not a shard error or a
+        # dropped connection.
+        wrong_types = [
+            {**valid, "db_id": ["x"]},
+            {**valid, "method": None},
+            {**valid, "question": 5},
+            {**valid, "deadline_s": "abc"},
+            {**valid, "deadline_s": True},
+            {**valid, "deadline_s": -1},
+            {**valid, "deadline_s": [1]},
+        ]
+        typed_bodies = [json.dumps(body).encode() for body in wrong_types] + [
+            # Non-finite and float-overflowing numbers that json accepts.
+            json.dumps(valid)[:-1].encode() + suffix
+            for suffix in (
+                b', "deadline_s": NaN}',
+                b', "deadline_s": Infinity}',
+                b', "deadline_s": 1e400}',
+                b', "deadline_s": 1' + b"0" * 400 + b"}",
+            )
+        ]
         with GatewayHTTPServer(gateway) as server:
             conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
             try:
@@ -470,7 +499,7 @@ class TestGatewayHTTP:
                 )
                 assert conn.getresponse().status == 400
                 # Valid JSON that is not an object is a bad body too.
-                for body in (b"[]", b"null", b"5", b'"x"'):
+                for body in (b"[]", b"null", b"5", b'"x"', *typed_bodies):
                     conn = http.client.HTTPConnection(
                         server.host, server.port, timeout=10
                     )
@@ -483,9 +512,16 @@ class TestGatewayHTTP:
                     assert b"bad /query body" in response.read(), body
             finally:
                 conn.close()
-            # The server survives bad input and keeps serving.
+            # The server survives bad input and keeps serving, and every
+            # well-typed deadline is still accepted.
             with GatewayHTTPClient(server.host, server.port) as client:
                 assert client.healthz()["status"] == "ok"
+                for deadline_s in (None, 0, 2.5, 30):
+                    payload = client.query(
+                        valid["method"], valid["db_id"], valid["question"],
+                        deadline_s=deadline_s,
+                    )
+                    assert payload["status"] in {"ok", "timeout"}, deadline_s
 
     def test_bad_content_length_gets_400(self, gateway):
         with GatewayHTTPServer(gateway) as server:

@@ -1,8 +1,13 @@
 """Tests for Spider-style exact match."""
 
+import itertools
+
 import pytest
 
-from repro.sqlkit.exact_match import exact_match
+from repro.errors import SQLError
+from repro.sqlkit.ast_nodes import Expr, SelectItem
+from repro.sqlkit.exact_match import em_form, exact_match
+from repro.sqlkit.parser import parse_select
 
 
 class TestMatching:
@@ -211,3 +216,60 @@ class TestRobustness:
     def test_reflexive(self, sql):
         assert exact_match(sql, sql)
         assert exact_match(sql, sql, compare_values=True)
+
+
+FORM_POOL = (
+    "SELECT a FROM t",
+    "select A from T",
+    "SELECT T1.a FROM t AS T1",
+    "SELECT a FROM t WHERE x = 1",
+    "SELECT a FROM t WHERE x = 2",
+    "SELECT a FROM t WHERE 1 = x",
+    "SELECT a, b FROM t",
+    "SELECT b, a FROM t ORDER BY a DESC LIMIT 2",
+    "SELECT a FROM t WHERE x IN (SELECT y FROM u WHERE z = 'q')",
+    "SELECT a FROM t UNION SELECT a FROM u",
+    "SELECT FROM WHERE",
+    "not sql at all (",
+)
+
+
+class TestEMForm:
+    @pytest.mark.parametrize("compare_values", [False, True])
+    def test_exact_match_is_equality_of_forms(self, compare_values):
+        for predicted, gold in itertools.product(FORM_POOL, FORM_POOL):
+            form = em_form(predicted, compare_values)
+            expected = form is not None and form == em_form(gold, compare_values)
+            assert exact_match(predicted, gold, compare_values) == expected
+            assert exact_match(
+                parse_select(predicted) if form is not None else predicted,
+                gold,
+                compare_values,
+            ) == expected
+
+    def test_none_only_when_parsing_fails(self):
+        for sql in FORM_POOL:
+            try:
+                parse_select(sql)
+            except SQLError:
+                assert em_form(sql) is None
+            else:
+                assert em_form(sql) is not None
+
+    def test_values_only_matter_when_compared(self):
+        assert em_form("SELECT a FROM t WHERE x = 1") == em_form("SELECT a FROM t WHERE x = 2")
+        assert em_form("SELECT a FROM t WHERE x = 1", compare_values=True) != em_form(
+            "SELECT a FROM t WHERE x = 2", compare_values=True
+        )
+
+    def test_canonicalization_error_propagates(self):
+        statement = parse_select("SELECT a FROM t")
+        statement.select_items = [SelectItem(Expr())]
+        with pytest.raises(SQLError, match="cannot canonicalize"):
+            em_form(statement)
+        with pytest.raises(SQLError, match="cannot canonicalize"):
+            exact_match(statement, "SELECT a FROM t")
+        with pytest.raises(SQLError, match="cannot canonicalize"):
+            exact_match("SELECT a FROM t", statement)
+        # An unparseable prediction never reaches the gold's canonicalization.
+        assert not exact_match("SELECT FROM WHERE", statement)
